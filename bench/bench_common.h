@@ -11,6 +11,9 @@
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
+#include "ebpf/exec.h"
+#include "ebpf/interp.h"
+#include "ebpf/vm.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
 #include "sim/network.h"
@@ -100,6 +103,28 @@ struct Setup1 {
     return sink->meter().kpps(net.now() - t0);
   }
 };
+
+// What an engine bench's timed loop runs: BpfSystem::run with
+// bpf_jit_enable = 1 or = 0, or the decode-every-step
+// Interpreter::run(const Program&) oracle called directly.
+enum class Exec { kJitOn, kJitOff, kBaseline };
+
+// Sets `sys` up for `exec` and binds its registries into `env` the way
+// BpfSystem::run does, which the baseline bypasses.
+inline void prepare(ebpf::BpfSystem& sys, ebpf::ExecEnv& env, Exec exec) {
+  sys.set_jit_enabled(exec == Exec::kJitOn);
+  env.maps = &sys.maps();
+  env.helpers = &sys.helpers();
+}
+
+inline ebpf::ExecResult run_once(const ebpf::BpfSystem& sys,
+                                 const ebpf::LoadedProgram& prog,
+                                 ebpf::ExecEnv& env, std::uint64_t ctx,
+                                 Exec exec) {
+  if (exec == Exec::kBaseline)
+    return ebpf::Interpreter{}.run(prog.program(), env, ctx);
+  return sys.run(prog, env, ctx);
+}
 
 inline void print_header(const char* title, const char* paper_note) {
   std::printf("==============================================================\n");

@@ -3,10 +3,11 @@
 // Part 1 (micro): per-expression filter cost. Each tcpdump expression is
 // compiled to classic BPF, then measured two ways over a mixed match/miss
 // packet corpus: interpreted directly by the reference cBPF interpreter (what
-// a pre-3.15 kernel did per packet) and translated to eBPF and run on each of
-// the four engines (what this simulator — and the modern kernel — actually
-// executes). The native-vs-reference speedup is the payoff of the
-// translate-once design the cbpf/ tier reproduces.
+// a pre-3.15 kernel did per packet) and translated to eBPF, run on the
+// decode-every-step eBPF oracle and with the JIT off and on (what this
+// simulator — and the modern kernel — actually executes). The
+// native-vs-reference speedup is the payoff of the translate-once design
+// the cbpf/ tier reproduces.
 //
 // Part 2 (scenario): the fig3-style monitoring sink driven entirely by a
 // compiled filter expression on the setup-1 topology, reporting the sink's
@@ -26,7 +27,6 @@
 #include "cbpf/expr.h"
 #include "cbpf/interp.h"
 #include "cbpf/translate.h"
-#include "ebpf/jit.h"
 #include "ebpf/skb.h"
 #include "ebpf/vm.h"
 
@@ -83,11 +83,9 @@ double reference_ns(const std::vector<cbpf::SockFilter>& prog,
       static_cast<std::uint64_t>(iters) * corpus.pkts.size());
 }
 
-// Translated-eBPF ns/op on one engine over the corpus.
+// Translated-eBPF ns/op on one execution over the corpus.
 double translated_ns(const ebpf::LoadedProgram& prog, ebpf::BpfSystem& sys,
-                     ebpf::EngineKind engine, const Corpus& corpus,
-                     int iters) {
-  sys.set_engine(engine);
+                     Exec exec, const Corpus& corpus, int iters) {
   ebpf::SkbCtx skb;
   skb.protocol = ebpf::kEthPIpv6Be;
   ebpf::ExecEnv env;
@@ -96,6 +94,7 @@ double translated_ns(const ebpf::LoadedProgram& prog, ebpf::BpfSystem& sys,
   env.regions.push_back(ebpf::MemRegion{
       reinterpret_cast<std::uintptr_t>(&skb), sizeof skb, true});
   env.regions.push_back(ebpf::MemRegion{0, 0, false});
+  prepare(sys, env, exec);
   const std::uint64_t ctx = reinterpret_cast<std::uint64_t>(&skb);
 
   volatile std::uint64_t sink = 0;
@@ -107,7 +106,7 @@ double translated_ns(const ebpf::LoadedProgram& prog, ebpf::BpfSystem& sys,
       skb.len = static_cast<std::uint32_t>(p.size());
       env.regions[1] = ebpf::MemRegion{
           reinterpret_cast<std::uintptr_t>(p.data()), p.size(), false};
-      sink = sys.run(prog, env, ctx).ret;
+      sink = run_once(sys, prog, env, ctx, exec).ret;
     }
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -121,7 +120,7 @@ struct Row {
   std::string expr;
   std::size_t cbpf_insns = 0, ebpf_insns = 0;
   double reference_ns = 0;
-  double baseline_ns = 0, predecoded_ns = 0, unchecked_ns = 0, native_ns = 0;
+  double baseline_ns = 0, predecoded_ns = 0, native_ns = 0;
 };
 
 Row measure_expr(const std::string& expr, const Corpus& corpus, int iters) {
@@ -152,15 +151,11 @@ Row measure_expr(const std::string& expr, const Corpus& corpus, int iters) {
   }
 
   r.reference_ns = reference_ns(cr.insns, corpus, iters);
-  r.baseline_ns = translated_ns(*load.prog, sys,
-                                ebpf::EngineKind::kInterpBaseline, corpus,
-                                iters);
+  r.baseline_ns =
+      translated_ns(*load.prog, sys, Exec::kBaseline, corpus, iters);
   r.predecoded_ns =
-      translated_ns(*load.prog, sys, ebpf::EngineKind::kInterp, corpus, iters);
-  r.unchecked_ns = translated_ns(*load.prog, sys,
-                                 ebpf::EngineKind::kUnchecked, corpus, iters);
-  r.native_ns =
-      translated_ns(*load.prog, sys, ebpf::EngineKind::kNative, corpus, iters);
+      translated_ns(*load.prog, sys, Exec::kJitOff, corpus, iters);
+  r.native_ns = translated_ns(*load.prog, sys, Exec::kJitOn, corpus, iters);
   return r;
 }
 
@@ -204,7 +199,7 @@ void emit_json(const std::vector<Row>& rows, double geomean_native,
   std::fprintf(f, "{\n  \"bench\": \"filter\",\n");
   std::fprintf(f, "  \"measurement\": \"filter_ns_per_packet\",\n");
   std::fprintf(f, "  \"native_jit_available\": %s,\n",
-               ebpf::Jit::available() ? "true" : "false");
+               ebpf::native_jit_available() ? "true" : "false");
   std::fprintf(f, "  \"filters\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -212,10 +207,10 @@ void emit_json(const std::vector<Row>& rows, double geomean_native,
                  "    {\"expr\": \"%s\", \"cbpf_insns\": %zu, "
                  "\"ebpf_insns\": %zu, \"reference_interp_ns\": %.1f, "
                  "\"baseline_interp_ns\": %.1f, \"predecoded_interp_ns\": "
-                 "%.1f, \"unchecked_ns\": %.1f, \"native_ns\": %.1f, "
+                 "%.1f, \"native_ns\": %.1f, "
                  "\"speedup_native_vs_reference\": %.2f}%s\n",
                  r.expr.c_str(), r.cbpf_insns, r.ebpf_insns, r.reference_ns,
-                 r.baseline_ns, r.predecoded_ns, r.unchecked_ns, r.native_ns,
+                 r.baseline_ns, r.predecoded_ns, r.native_ns,
                  r.reference_ns / r.native_ns,
                  i + 1 < rows.size() ? "," : "");
   }
@@ -267,12 +262,12 @@ int main(int argc, char** argv) {
   const double geomean_native = std::exp(log_sum / rows.size());
 
   if (!json_only) {
-    std::printf("%-58s %5s %5s %9s %9s %9s %9s %9s\n", "expression", "cBPF",
-                "eBPF", "refrnc", "baseln", "predec", "uncheck", "native");
+    std::printf("%-58s %5s %5s %9s %9s %9s %9s\n", "expression", "cBPF",
+                "eBPF", "refrnc", "baseln", "predec", "native");
     for (const Row& r : rows)
-      std::printf("%-58s %5zu %5zu %7.1fns %7.1fns %7.1fns %7.1fns %7.1fns\n",
+      std::printf("%-58s %5zu %5zu %7.1fns %7.1fns %7.1fns %7.1fns\n",
                   r.expr.c_str(), r.cbpf_insns, r.ebpf_insns, r.reference_ns,
-                  r.baseline_ns, r.predecoded_ns, r.unchecked_ns, r.native_ns);
+                  r.baseline_ns, r.predecoded_ns, r.native_ns);
     std::printf("geomean speedup, native eBPF vs reference cBPF interp: "
                 "%.2fx\n\n", geomean_native);
   }

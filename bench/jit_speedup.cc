@@ -1,9 +1,9 @@
 // §3.2 JIT experiment — the cost of running eBPF on the interpreter.
 //
 // Two complementary measurements:
-//  1. *Real* wall-clock throughput of this repository's execution engines
-//     (native x86-64 JIT, unchecked decoded, both interpreters) on the
-//     paper's programs (honest numbers for THIS machine);
+//  1. *Real* wall-clock per-packet cost of End.BPF with the JIT on (native
+//     x86-64 code) and off (the pre-decoded interpreter) on the paper's
+//     programs (honest numbers for THIS machine);
 //  2. the *simulated* forwarding-rate factor on the modelled Xeon, which is
 //     what reproduces the paper's "divided by 1.8" observation (the model's
 //     per-instruction interpreter cost is calibrated against it, see
@@ -21,12 +21,12 @@ using namespace srv6bpf::bench;
 namespace {
 
 // Wall-clock ns/run of a seg6local program processed through End.BPF.
-double wallclock_ns_per_run(const usecases::BuiltProgram& built,
-                            ebpf::EngineKind engine, int iters = 20000) {
+double wallclock_ns_per_run(const usecases::BuiltProgram& built, bool jit,
+                            int iters = 20000) {
   seg6::Netns ns("bench");
   ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
                         {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
-  ns.bpf().set_engine(engine);
+  ns.bpf().set_jit_enabled(jit);
   auto load = ns.bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
                             built.insns, built.paper_sloc);
   if (!load.ok()) {
@@ -83,31 +83,23 @@ int main(int argc, char** argv) {
                "factor grows with program size");
 
   std::printf("native x86-64 JIT: %s\n",
-              ebpf::Jit::available()
+              ebpf::native_jit_available()
                   ? "available"
-                  : "unavailable (native column falls back to unchecked)");
+                  : "unavailable (JIT on falls back to the interpreter)");
   std::printf("\n-- real engine wall-clock on this machine (End.BPF + "
               "program + helpers, per packet) --\n");
-  std::printf("%-16s %10s %12s %14s %14s %9s %9s\n", "program", "native",
-              "unchecked", "interp ns/pkt", "base-interp", "int/nat",
-              "base/int");
+  std::printf("%-16s %14s %14s %9s\n", "program", "JIT on ns/pkt",
+              "JIT off ns/pkt", "off/on");
   const usecases::BuiltProgram progs[] = {
       usecases::build_end(),
       usecases::build_tag_increment(),
       usecases::build_add_tlv(),
   };
   for (const auto& p : progs) {
-    const double nat_ns =
-        wallclock_ns_per_run(p, ebpf::EngineKind::kNative, iters);
-    const double unc_ns =
-        wallclock_ns_per_run(p, ebpf::EngineKind::kUnchecked, iters);
-    const double int_ns =
-        wallclock_ns_per_run(p, ebpf::EngineKind::kInterp, iters);
-    const double base_ns =
-        wallclock_ns_per_run(p, ebpf::EngineKind::kInterpBaseline, iters);
-    std::printf("%-16s %10.1f %12.1f %14.1f %14.1f %8.2fx %8.2fx\n", p.name,
-                nat_ns, unc_ns, int_ns, base_ns, int_ns / nat_ns,
-                base_ns / int_ns);
+    const double on_ns = wallclock_ns_per_run(p, true, iters);
+    const double off_ns = wallclock_ns_per_run(p, false, iters);
+    std::printf("%-16s %14.1f %14.1f %8.2fx\n", p.name, on_ns, off_ns,
+                off_ns / on_ns);
   }
 
   std::printf("\n-- simulated Xeon forwarding rate, Add TLV (fig. 2 "

@@ -1,12 +1,13 @@
 // Microbenchmarks of the eBPF machinery itself.
 //
-// Part 1 (custom, runs first): engine-only throughput of the four execution
-// engines — baseline decode-every-step interpreter, pre-decoded threaded
-// interpreter, unchecked decoded, native x86-64 JIT — on the paper's §3.2
-// seg6local programs plus a 512-insn ALU chain, with results written to
-// BENCH_vm.json so the perf trajectory is machine-trackable across PRs.
-// On hosts without native support the native column degrades to the
-// unchecked engine (and its geomean metric will reflect ~1x). "Engine-only" means the ExecEnv/ctx are
+// Part 1 (custom, runs first): engine-only throughput of the three
+// executions — the decode-every-step reference oracle (the baseline), the
+// pre-decoded threaded interpreter (JIT off) and native x86-64 code (JIT
+// on) — on the paper's §3.2 seg6local programs plus a 512-insn ALU chain,
+// with results written to BENCH_vm.json so the perf trajectory is
+// machine-trackable across PRs. On hosts without native support the native
+// column falls back to the interpreter (and its geomean metric will reflect
+// ~1x). "Engine-only" means the ExecEnv/ctx are
 // built once and the timed loop contains only the VM run (plus a packet
 // reset for the one program that resizes it); this isolates what the
 // decode-once refactor actually changed.
@@ -22,8 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "ebpf/asm.h"
 #include "ebpf/helpers.h"
+#include "ebpf/interp.h"
 #include "ebpf/map.h"
 #include "ebpf/perf_event.h"
 #include "ebpf/skb.h"
@@ -36,6 +39,9 @@ namespace {
 
 using namespace srv6bpf;
 using namespace srv6bpf::ebpf;
+using bench::Exec;
+using bench::prepare;
+using bench::run_once;
 
 // Straight-line ALU program of ~n instructions (no loops allowed in eBPF).
 std::vector<Insn> alu_chain(int n) {
@@ -61,12 +67,11 @@ std::vector<Insn> alu_chain(int n) {
 // prepared once; the timed loop is the VM invocation itself. Programs that
 // resize the packet (Add TLV) get a cheap in-place packet reset per
 // iteration so the workload stays constant.
-double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
+double engine_only_ns(const usecases::BuiltProgram& built, Exec exec,
                       bool reset_packet, int iters) {
   seg6::Netns ns("bench");
   ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
                         {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
-  ns.bpf().set_engine(engine);
   auto load = ns.bpf().load(built.name, ProgType::kLwtSeg6Local, built.insns,
                             built.paper_sloc);
   if (!load.ok()) {
@@ -97,6 +102,7 @@ double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
   env.regions.push_back(MemRegion{0, 0, false});
   ctx.env = &env;
   ctx.refresh_packet_view();
+  prepare(ns.bpf(), env, exec);
 
   volatile std::uint64_t sink = 0;
   const std::uint64_t skb_addr = reinterpret_cast<std::uint64_t>(&ctx.skb);
@@ -123,7 +129,7 @@ double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
       pkt = tmpl;
       ctx.refresh_packet_view();
     }
-    sink = ns.bpf().run(*load.prog, env, skb_addr).ret;
+    sink = run_once(ns.bpf(), *load.prog, env, skb_addr, exec).ret;
   }
   const auto t1 = std::chrono::steady_clock::now();
   (void)sink;
@@ -134,8 +140,7 @@ double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
 }
 
 // Bare engine ns/run for programs needing no packet/netns (the ALU chain).
-double bare_engine_ns(const std::vector<Insn>& insns, EngineKind engine,
-                      int iters) {
+double bare_engine_ns(const std::vector<Insn>& insns, Exec exec, int iters) {
   BpfSystem sys;
   auto load = sys.load("alu", ProgType::kLwtSeg6Local, insns);
   if (!load.ok()) {
@@ -143,11 +148,12 @@ double bare_engine_ns(const std::vector<Insn>& insns, EngineKind engine,
                  load.verify.error.c_str());
     std::exit(1);
   }
-  sys.set_engine(engine);
   ExecEnv env;
+  prepare(sys, env, exec);
   volatile std::uint64_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) sink = sys.run(*load.prog, env, 0).ret;
+  for (int i = 0; i < iters; ++i)
+    sink = run_once(sys, *load.prog, env, 0, exec).ret;
   const auto t1 = std::chrono::steady_clock::now();
   (void)sink;
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
@@ -156,7 +162,7 @@ double bare_engine_ns(const std::vector<Insn>& insns, EngineKind engine,
 struct Row {
   std::string name;
   bool sec32;  // counts toward the §3.2 geomeans
-  double baseline_ns, predecoded_ns, unchecked_ns, native_ns;
+  double baseline_ns, predecoded_ns, native_ns;
 };
 
 void emit_json(const std::vector<Row>& rows, double geomean_pre,
@@ -169,19 +175,19 @@ void emit_json(const std::vector<Row>& rows, double geomean_pre,
   std::fprintf(f, "{\n  \"bench\": \"vm_micro\",\n");
   std::fprintf(f, "  \"measurement\": \"engine_only_ns_per_run\",\n");
   std::fprintf(f, "  \"native_jit_available\": %s,\n",
-               Jit::available() ? "true" : "false");
+               native_jit_available() ? "true" : "false");
   std::fprintf(f, "  \"programs\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"paper_sec32\": %s, "
                  "\"baseline_interp_ns\": %.1f, \"predecoded_interp_ns\": "
-                 "%.1f, \"unchecked_ns\": %.1f, \"native_ns\": %.1f, "
+                 "%.1f, \"native_ns\": %.1f, "
                  "\"speedup_predecoded_vs_baseline\": %.2f, "
                  "\"speedup_native_vs_baseline\": %.2f, "
                  "\"speedup_native_vs_predecoded\": %.2f}%s\n",
                  r.name.c_str(), r.sec32 ? "true" : "false", r.baseline_ns,
-                 r.predecoded_ns, r.unchecked_ns, r.native_ns,
+                 r.predecoded_ns, r.native_ns,
                  r.baseline_ns / r.predecoded_ns,
                  r.baseline_ns / r.native_ns,
                  r.predecoded_ns / r.native_ns,
@@ -205,8 +211,8 @@ void emit_json(const std::vector<Row>& rows, double geomean_pre,
 
 void run_engine_comparison(int iters) {
   std::printf("-- engine-only ns/run (execution-engine scoreboard) --\n");
-  std::printf("%-18s %12s %12s %10s %10s %10s\n", "program", "baseline",
-              "pre-decoded", "unchecked", "native", "nat/pre");
+  std::printf("%-18s %12s %12s %10s %10s\n", "program", "baseline",
+              "pre-decoded", "native", "nat/pre");
 
   std::vector<Row> rows;
   struct Prog {
@@ -222,14 +228,11 @@ void run_engine_comparison(int iters) {
     Row r;
     r.name = p.built.name;
     r.sec32 = true;
-    r.baseline_ns = engine_only_ns(p.built, EngineKind::kInterpBaseline,
-                                   p.reset_packet, iters);
+    r.baseline_ns =
+        engine_only_ns(p.built, Exec::kBaseline, p.reset_packet, iters);
     r.predecoded_ns =
-        engine_only_ns(p.built, EngineKind::kInterp, p.reset_packet, iters);
-    r.unchecked_ns = engine_only_ns(p.built, EngineKind::kUnchecked,
-                                    p.reset_packet, iters);
-    r.native_ns =
-        engine_only_ns(p.built, EngineKind::kNative, p.reset_packet, iters);
+        engine_only_ns(p.built, Exec::kJitOff, p.reset_packet, iters);
+    r.native_ns = engine_only_ns(p.built, Exec::kJitOn, p.reset_packet, iters);
     rows.push_back(r);
   }
   {
@@ -237,22 +240,18 @@ void run_engine_comparison(int iters) {
     r.name = "alu_chain_512";
     r.sec32 = false;
     const auto chain = alu_chain(512);
-    r.baseline_ns = bare_engine_ns(chain, EngineKind::kInterpBaseline,
-                                   iters / 4 + 1);
-    r.predecoded_ns =
-        bare_engine_ns(chain, EngineKind::kInterp, iters / 4 + 1);
-    r.unchecked_ns =
-        bare_engine_ns(chain, EngineKind::kUnchecked, iters / 4 + 1);
-    r.native_ns = bare_engine_ns(chain, EngineKind::kNative, iters);
+    r.baseline_ns = bare_engine_ns(chain, Exec::kBaseline, iters / 4 + 1);
+    r.predecoded_ns = bare_engine_ns(chain, Exec::kJitOff, iters / 4 + 1);
+    r.native_ns = bare_engine_ns(chain, Exec::kJitOn, iters);
     rows.push_back(r);
   }
 
   double log_sum_pre = 0, log_sum_native = 0, alu_native = 0;
   int sec32_count = 0;
   for (const Row& r : rows) {
-    std::printf("%-18s %10.1fns %10.1fns %8.1fns %8.1fns %8.2fx\n",
-                r.name.c_str(), r.baseline_ns, r.predecoded_ns,
-                r.unchecked_ns, r.native_ns, r.predecoded_ns / r.native_ns);
+    std::printf("%-18s %10.1fns %10.1fns %8.1fns %8.2fx\n", r.name.c_str(),
+                r.baseline_ns, r.predecoded_ns, r.native_ns,
+                r.predecoded_ns / r.native_ns);
     if (r.sec32) {
       log_sum_pre += std::log(r.baseline_ns / r.predecoded_ns);
       log_sum_native += std::log(r.predecoded_ns / r.native_ns);
@@ -277,26 +276,24 @@ void run_engine_comparison(int iters) {
 // Part 2: google-benchmark micro suite
 // ---------------------------------------------------------------------------
 
-void BM_EngineAluChain(benchmark::State& state, EngineKind engine) {
+void BM_EngineAluChain(benchmark::State& state, Exec exec) {
   BpfSystem sys;
   auto load = sys.load("alu", ProgType::kLwtSeg6Local, alu_chain(512));
   if (!load.ok()) {
     state.SkipWithError(load.verify.error.c_str());
     return;
   }
-  sys.set_engine(engine);
   ExecEnv env;
+  prepare(sys, env, exec);
   for (auto _ : state) {
-    const auto r = sys.run(*load.prog, env, 0);
+    const auto r = run_once(sys, *load.prog, env, 0, exec);
     benchmark::DoNotOptimize(r.ret);
   }
   state.SetItemsProcessed(state.iterations() * 514);
 }
-BENCHMARK_CAPTURE(BM_EngineAluChain, native, EngineKind::kNative);
-BENCHMARK_CAPTURE(BM_EngineAluChain, unchecked, EngineKind::kUnchecked);
-BENCHMARK_CAPTURE(BM_EngineAluChain, interp, EngineKind::kInterp);
-BENCHMARK_CAPTURE(BM_EngineAluChain, interp_baseline,
-                  EngineKind::kInterpBaseline);
+BENCHMARK_CAPTURE(BM_EngineAluChain, native, Exec::kJitOn);
+BENCHMARK_CAPTURE(BM_EngineAluChain, interp, Exec::kJitOff);
+BENCHMARK_CAPTURE(BM_EngineAluChain, interp_baseline, Exec::kBaseline);
 
 void BM_HelperCallOverhead(benchmark::State& state) {
   BpfSystem sys;
@@ -307,7 +304,7 @@ void BM_HelperCallOverhead(benchmark::State& state) {
   ExecEnv env;
   env.now_ns = [] { return 1ull; };
   for (auto _ : state) {
-    const auto r = sys.run_native(*load.prog, env, 0);
+    const auto r = sys.run(*load.prog, env, 0);
     benchmark::DoNotOptimize(r.ret);
   }
   state.SetItemsProcessed(state.iterations() * 16);
@@ -333,7 +330,7 @@ void BM_MapLookupFromBpf(benchmark::State& state) {
   auto load = sys.load("lookup", ProgType::kLwtSeg6Local, a.build());
   ExecEnv env;
   for (auto _ : state) {
-    const auto r = sys.run_native(*load.prog, env, 0);
+    const auto r = sys.run(*load.prog, env, 0);
     benchmark::DoNotOptimize(r.ret);
   }
 }

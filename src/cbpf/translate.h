@@ -1,8 +1,8 @@
 // cBPF → eBPF translation, modeled on the kernel's bpf_convert_filter().
 //
 // The emitted program is ordinary eBPF: it passes the existing verifier with
-// ProgType::kSocketFilter and runs unmodified on all four engines. Register
-// mapping follows the kernel's convention:
+// ProgType::kSocketFilter and runs unmodified with the JIT on or off and on
+// the reference interpreter. Register mapping follows the kernel's convention:
 //
 //   R6 = skb context (saved from R1 in the prologue)
 //   R7 = A (accumulator)        R8 = X (index register)

@@ -9,11 +9,12 @@
 //   * helper calls are resolved to direct HelperFn pointers;
 //   * jump offsets are rewritten as absolute decoded-pc targets.
 //
-// The JIT engine (ebpf/jit.h) runs this form unchecked, trusting the
-// verifier; the interpreter (ebpf/interp.h) runs the same form with runtime
-// memory bounds checks and an amortised step budget. This mirrors the Linux
-// kernel split between the eBPF JIT output and the ___bpf_prog_run
-// computed-goto core: both consume a decode-once representation.
+// The native JIT (ebpf/jit_x86.h) emits machine code from this form,
+// trusting the verifier; the interpreter (ebpf/interp.h) runs the same form
+// with runtime memory bounds checks and an amortised step budget. This
+// mirrors the Linux kernel split between the eBPF JIT output and the
+// ___bpf_prog_run computed-goto core: both consume a decode-once
+// representation.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +91,8 @@ struct DecodedInsn {
   const HelperFn* fn = nullptr;  // resolved helper for calls
 };
 
-// A decode-once program. Immutable after construction; shared (via
-// CompiledProgram) between the threaded interpreter and the JIT engine.
+// A decode-once program. Immutable after construction; a LoadedProgram
+// holds it for the interpreter beside the native code emitted from it.
 class DecodedProgram {
  public:
   const DecodedInsn* data() const noexcept { return ops_.data(); }

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "ebpf/helpers.h"
-#include "ebpf/jit.h"
 
 namespace srv6bpf::ebpf {
 
@@ -73,18 +72,5 @@ std::string disasm(const DecodedProgram& prog) {
 }
 
 std::string DecodedProgram::dump() const { return disasm(*this); }
-
-std::string CompiledProgram::dump() const {
-  std::string out = disasm(*decoded_);
-  char tail[96];
-  if (has_native()) {
-    std::snprintf(tail, sizeof tail, "native: %zu bytes of x86-64 code\n",
-                  native_->code_size());
-  } else {
-    std::snprintf(tail, sizeof tail, "native: none (unchecked fallback)\n");
-  }
-  out += tail;
-  return out;
-}
 
 }  // namespace srv6bpf::ebpf

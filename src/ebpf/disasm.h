@@ -5,9 +5,7 @@
 // without the program. These helpers render the decode-once form (the
 // representation every engine actually executes) as one op per line with
 // resolved jump targets, so a differential failure is immediately
-// reproducible by eye. `DecodedProgram::dump()` / `CompiledProgram::dump()`
-// are thin wrappers; the latter appends the native emitted-code size when a
-// machine-code translation exists.
+// reproducible by eye. `DecodedProgram::dump()` is a thin wrapper.
 #pragma once
 
 #include <cstdint>

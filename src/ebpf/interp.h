@@ -7,15 +7,19 @@
 //     dispatch (switch fallback behind SRV6BPF_NO_COMPUTED_GOTO), a
 //     single-comparison stack fast path on every memory access, and a step
 //     budget amortised over backward jumps and helper calls instead of every
-//     instruction. This is what BpfSystem uses when the JIT is disabled.
-//   * run(Program) — the baseline engine, which re-decodes every instruction
-//     on every step. It is kept (a) as the reference point the §3.2 benches
-//     compare against and (b) because it safely executes *unverified*
-//     instruction streams, which the decoded form does not accept.
+//     instruction. This is what BpfSystem runs when the JIT is disabled, or
+//     enabled but without native code for the program.
+//   * run(Program) — the reference oracle, which re-decodes every
+//     instruction on every step and so does not depend on the decoder.
+//     BpfSystem never dispatches to it: tests and benches call it directly
+//     (filling env.maps and env.helpers themselves) to check the other
+//     engines and as the §3.2 benches' baseline. It also safely executes
+//     *unverified* instruction streams, which the decoded form does not
+//     accept.
 //
 // Both paths bounds-check every program memory access against the
-// environment's region list; the JIT engine (ebpf/jit.h) runs the same
-// decoded form without checks, trusting the verifier.
+// environment's region list; the native JIT (ebpf/jit_x86.h) compiles the
+// same decoded form without checks, trusting the verifier.
 #pragma once
 
 #include "ebpf/decode.h"
@@ -39,8 +43,8 @@ class Interpreter {
   ExecResult run(const DecodedProgram& prog, ExecEnv& env,
                  std::uint64_t ctx) const;
 
-  // Baseline path: decode-every-step reference engine; accepts unverified
-  // instruction streams.
+  // Reference oracle: decode-every-step; accepts unverified instruction
+  // streams.
   ExecResult run(const Program& prog, ExecEnv& env, std::uint64_t ctx) const;
 };
 

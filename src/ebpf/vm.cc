@@ -23,26 +23,19 @@ BpfSystem::LoadResult BpfSystem::load(std::string name, ProgType type,
 
   prog.set_verified();
   // Decode once (jump targets, fused ld_imm64, resolved helpers), then emit
-  // native machine code where the host supports it; the compiled form
-  // carries the shared decoded program for every engine.
-  Jit jit(&helpers_);
-  auto compiled = jit.compile(prog);
-  const EngineKind resolved = engine_ == EngineKind::kNative &&
-                                      !compiled->has_native()
-                                  ? EngineKind::kUnchecked
-                                  : engine_;
+  // native machine code where the host supports it. Emission is
+  // best-effort: without it the program runs on the interpreter, which
+  // shares the same decoded form.
+  auto decoded = decode_program(prog, &helpers_);
+  std::shared_ptr<const NativeCode> native;
+  if (native_jit_available()) native = compile_native(*decoded, nullptr);
   if (log_loads_) {
-    std::fprintf(stderr, "bpf: loaded '%s' (%zu ops) engine=%s%s\n",
-                 prog.name().c_str(), compiled->op_count(),
-                 engine_name(resolved),
-                 compiled->has_native()
-                     ? (" native_code=" +
-                        std::to_string(compiled->native_code_size()) + "B")
-                           .c_str()
-                     : "");
+    std::fprintf(stderr, "bpf: loaded '%s' (%zu ops) native_code=%zuB\n",
+                 prog.name().c_str(), decoded->size(),
+                 native ? native->code_size() : 0);
   }
-  result.prog = std::make_shared<LoadedProgram>(std::move(prog),
-                                                std::move(compiled), resolved);
+  result.prog = std::make_shared<LoadedProgram>(
+      std::move(prog), std::move(decoded), std::move(native));
   return result;
 }
 
@@ -54,50 +47,10 @@ void BpfSystem::bind_env(ExecEnv& env) const {
 
 ExecResult BpfSystem::run(const LoadedProgram& prog, ExecEnv& env,
                           std::uint64_t ctx) const {
-  // Hot path: resolve the compiled form and (for kNative) the code object
-  // exactly once — every extra shared_ptr chase here is measurable on the
-  // shortest §3.2 programs.
   bind_env(env);
-  const CompiledProgram& c = prog.compiled();
-  switch (engine_) {
-    case EngineKind::kNative:
-      if (const NativeCode* nc = c.native()) return nc->run(env, ctx);
-      [[fallthrough]];  // no emitted code: degrade to the unchecked engine
-    case EngineKind::kUnchecked:
-      return c.run(env, ctx);
-    case EngineKind::kInterp:
-      return interp_.run(c.decoded(), env, ctx);
-    case EngineKind::kInterpBaseline:
-      return interp_.run(prog.program(), env, ctx);
-  }
-  return c.run(env, ctx);
-}
-
-ExecResult BpfSystem::run_native(const LoadedProgram& prog, ExecEnv& env,
-                                 std::uint64_t ctx) const {
-  bind_env(env);
-  const CompiledProgram& c = prog.compiled();
-  if (const NativeCode* nc = c.native()) return nc->run(env, ctx);
-  return c.run(env, ctx);
-}
-
-ExecResult BpfSystem::run_unchecked(const LoadedProgram& prog, ExecEnv& env,
-                                    std::uint64_t ctx) const {
-  bind_env(env);
-  return prog.compiled().run(env, ctx);
-}
-
-ExecResult BpfSystem::run_interpreted(const LoadedProgram& prog, ExecEnv& env,
-                                      std::uint64_t ctx) const {
-  bind_env(env);
-  return interp_.run(prog.compiled().decoded(), env, ctx);
-}
-
-ExecResult BpfSystem::run_interp_baseline(const LoadedProgram& prog,
-                                          ExecEnv& env,
-                                          std::uint64_t ctx) const {
-  bind_env(env);
-  return interp_.run(prog.program(), env, ctx);
+  if (jit_enabled_)
+    if (const NativeCode* nc = prog.native()) return nc->run(env, ctx);
+  return interp_.run(prog.decoded(), env, ctx);
 }
 
 void LoadedProgram::run_burst(
@@ -107,35 +60,16 @@ void LoadedProgram::run_burst(
   // Engine choice and env binding are loop-invariant: pay them once per
   // burst instead of once per packet.
   sys.bind_env(env);
-  switch (sys.engine_for(*this)) {
-    case EngineKind::kNative: {
-      // engine_for() only reports kNative when machine code exists.
-      const NativeCode* nc = compiled().native();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (prep) prep(i);
-        batch[i].result = nc->run(env, batch[i].ctx);
-      }
-      return;
+  if (const NativeCode* nc = sys.jit_enabled() ? native() : nullptr) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (prep) prep(i);
+      batch[i].result = nc->run(env, batch[i].ctx);
     }
-    case EngineKind::kUnchecked:
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (prep) prep(i);
-        batch[i].result = compiled().run(env, batch[i].ctx);
-      }
-      return;
-    case EngineKind::kInterp:
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (prep) prep(i);
-        batch[i].result = sys.interp_.run(compiled().decoded(), env,
-                                          batch[i].ctx);
-      }
-      return;
-    case EngineKind::kInterpBaseline:
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (prep) prep(i);
-        batch[i].result = sys.interp_.run(program(), env, batch[i].ctx);
-      }
-      return;
+    return;
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (prep) prep(i);
+    batch[i].result = sys.interp_.run(decoded(), env, batch[i].ctx);
   }
 }
 

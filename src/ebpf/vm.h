@@ -15,10 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "ebpf/decode.h"
 #include "ebpf/exec.h"
 #include "ebpf/helpers.h"
 #include "ebpf/interp.h"
-#include "ebpf/jit.h"
+#include "ebpf/jit_x86.h"
 #include "ebpf/map.h"
 #include "ebpf/program.h"
 #include "ebpf/verifier.h"
@@ -35,56 +36,28 @@ struct BurstInvocation {
   ExecResult result;
 };
 
-// Which execution engine runs a program. The order is "fastest first":
-//   kNative         — emitted x86-64 machine code (ebpf/jit_x86.h); the
-//                     default when the host supports it;
-//   kUnchecked      — unchecked decoded form, the portable JIT fallback
-//                     (non-x86-64 hosts, or W^X pages unavailable);
-//   kInterp         — pre-decoded checked interpreter (bpf_jit_enable = 0);
-//   kInterpBaseline — legacy decode-every-step interpreter, kept as the
-//                     reference point the §3.2 benches compare against.
-// kNative and kUnchecked are both "JIT" in the paper's bpf_jit_enable sense:
-// verifier-trusting, no runtime checks.
-enum class EngineKind { kNative, kUnchecked, kInterp, kInterpBaseline };
-
-constexpr const char* engine_name(EngineKind e) noexcept {
-  switch (e) {
-    case EngineKind::kNative: return "native";
-    case EngineKind::kUnchecked: return "unchecked";
-    case EngineKind::kInterp: return "interp";
-    case EngineKind::kInterpBaseline: return "interp-baseline";
-  }
-  return "?";
-}
-
-// True for the verifier-trusting engines (what the kernel's bpf_jit_enable=1
-// buys); the datapath accounting buckets instruction counts by this.
-constexpr bool engine_is_jit(EngineKind e) noexcept {
-  return e == EngineKind::kNative || e == EngineKind::kUnchecked;
-}
-
-// A verified, loaded program plus its compiled form.
+// A verified, loaded program: its instructions, their decode-once form and,
+// when the host could emit it, the native machine code.
 class LoadedProgram {
  public:
-  LoadedProgram(Program prog, std::shared_ptr<const CompiledProgram> compiled,
-                EngineKind engine)
+  LoadedProgram(Program prog, std::shared_ptr<const DecodedProgram> decoded,
+                std::shared_ptr<const NativeCode> native)
       : prog_(std::move(prog)),
-        compiled_(std::move(compiled)),
-        engine_(engine) {}
+        decoded_(std::move(decoded)),
+        native_(std::move(native)) {}
 
   const Program& program() const noexcept { return prog_; }
   const std::string& name() const noexcept { return prog_.name(); }
   ProgType type() const noexcept { return prog_.type(); }
-  const CompiledProgram& compiled() const noexcept { return *compiled_; }
+  const DecodedProgram& decoded() const noexcept { return *decoded_; }
+  // Emitted x86-64 code, or null when the host could not emit any (then
+  // even a JIT-enabled system runs the interpreter). A raw pointer so hot
+  // dispatch paths resolve the code object once per run or burst instead of
+  // re-chasing the shared_ptr at every layer.
+  const NativeCode* native() const noexcept { return native_.get(); }
 
-  // The engine this program resolved to at load time: the system's selected
-  // engine with kNative downgraded to kUnchecked when no machine code could
-  // be emitted. Purely observational — run() re-resolves against the
-  // system's *current* selection so benches can flip engines after load.
-  EngineKind engine() const noexcept { return engine_; }
-
-  // Runs this program over a vector of invocations on `sys`'s selected
-  // engine, resolving engine dispatch and env binding once for the whole
+  // Runs this program over a vector of invocations under `sys`'s JIT
+  // setting, resolving the engine and env binding once for the whole
   // burst. `env` is shared across the burst; `prep(i)`, when provided, is
   // called immediately before slot i to retarget env/ctx at packet i (and is
   // where callers harvest per-packet state left behind by slot i-1). The
@@ -96,8 +69,8 @@ class LoadedProgram {
 
  private:
   Program prog_;
-  std::shared_ptr<const CompiledProgram> compiled_;
-  EngineKind engine_;
+  std::shared_ptr<const DecodedProgram> decoded_;
+  std::shared_ptr<const NativeCode> native_;
 };
 
 using ProgHandle = std::shared_ptr<LoadedProgram>;
@@ -110,28 +83,16 @@ class BpfSystem {
   const MapRegistry& maps() const noexcept { return maps_; }
   HelperRegistry& helpers() noexcept { return helpers_; }
 
-  // bpf_jit_enable. Default on, as in the paper's main experiments: native
-  // machine code where the host supports it, the unchecked engine otherwise.
-  void set_jit_enabled(bool on) noexcept {
-    engine_ = on ? EngineKind::kNative : EngineKind::kInterp;
-  }
-  bool jit_enabled() const noexcept { return engine_is_jit(engine_); }
-
-  // Finer-grained engine choice (benchmarks use the baseline interpreter to
-  // quantify what decode-once dispatch buys).
-  void set_engine(EngineKind e) noexcept { engine_ = e; }
-  EngineKind engine() const noexcept { return engine_; }
-
-  // The engine `prog` would actually run on under the current selection:
-  // kNative degrades to kUnchecked when no machine code was emitted for it.
-  EngineKind engine_for(const LoadedProgram& prog) const noexcept {
-    if (engine_ == EngineKind::kNative && !prog.compiled().has_native())
-      return EngineKind::kUnchecked;
-    return engine_;
-  }
+  // bpf_jit_enable. Default on, as in the paper's main experiments. On,
+  // a program runs its native machine code when the host could emit it and
+  // the pre-decoded interpreter otherwise (the kernel without
+  // CONFIG_BPF_JIT_ALWAYS_ON); off, it always runs the interpreter. Read at
+  // run time, so benches may flip it after load.
+  void set_jit_enabled(bool on) noexcept { jit_enabled_ = on; }
+  bool jit_enabled() const noexcept { return jit_enabled_; }
 
   // When enabled, each successful load logs one line (program name, op
-  // count, resolved engine, emitted-code size) to stderr. Defaults to the
+  // count, emitted-code size) to stderr. Defaults to the
   // SRV6BPF_LOG_LOADS environment variable so scenario binaries can be
   // inspected without a rebuild; tests that load thousands of programs keep
   // it off.
@@ -143,32 +104,19 @@ class BpfSystem {
     bool ok() const noexcept { return prog != nullptr; }
   };
 
-  // Verify + compile. On verifier rejection returns a null handle and the
-  // verifier diagnostics.
+  // Verify, decode once, then emit native code where the host supports it.
+  // On verifier rejection returns a null handle and the verifier
+  // diagnostics.
   LoadResult load(std::string name, ProgType type, std::vector<Insn> insns,
                   std::size_t sloc_hint = 0);
 
   // Runs a loaded program with the node's registries wired into `env`,
-  // on the engine selected via set_engine / set_jit_enabled.
+  // under the current set_jit_enabled setting.
   ExecResult run(const LoadedProgram& prog, ExecEnv& env,
                  std::uint64_t ctx) const;
 
-  // Run with an explicit engine choice (benchmarks use this to compare).
-  // run_native executes emitted machine code (falls back to run_unchecked
-  // when none exists); run_unchecked is the portable no-checks path;
-  // run_interpreted is the pre-decoded threaded-dispatch path;
-  // run_interp_baseline is the legacy decode-every-step path.
-  ExecResult run_native(const LoadedProgram& prog, ExecEnv& env,
-                        std::uint64_t ctx) const;
-  ExecResult run_unchecked(const LoadedProgram& prog, ExecEnv& env,
-                           std::uint64_t ctx) const;
-  ExecResult run_interpreted(const LoadedProgram& prog, ExecEnv& env,
-                             std::uint64_t ctx) const;
-  ExecResult run_interp_baseline(const LoadedProgram& prog, ExecEnv& env,
-                                 std::uint64_t ctx) const;
-
  private:
-  friend class LoadedProgram;  // run_burst resolves the engine once
+  friend class LoadedProgram;  // run_burst binds env once per burst
 
   void bind_env(ExecEnv& env) const;
 
@@ -177,7 +125,7 @@ class BpfSystem {
   MapRegistry maps_;
   HelperRegistry helpers_;
   Interpreter interp_;
-  EngineKind engine_ = EngineKind::kNative;
+  bool jit_enabled_ = true;
   bool log_loads_ = log_loads_default();
 };
 

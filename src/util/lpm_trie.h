@@ -33,6 +33,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace srv6bpf::util {
@@ -173,10 +174,13 @@ class LpmTrie {
     return const_cast<LpmTrie*>(this)->lookup(key);
   }
 
-  // Removes the exact prefix; false when it was not present.
-  bool erase(const std::uint8_t* key, std::uint32_t plen) {
+  // Removes the exact prefix; false when it was not present. When `erased`
+  // is given, the removed value is moved into it.
+  bool erase(const std::uint8_t* key, std::uint32_t plen,
+             V* erased = nullptr) {
     const std::uint32_t id = core_.erase(key, plen);
     if (id == detail::LpmCore::kNoEntry) return false;
+    if (erased != nullptr) *erased = std::move(values_[id]);
     values_[id] = V{};  // release the value's resources eagerly
     return true;
   }

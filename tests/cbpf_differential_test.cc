@@ -1,8 +1,9 @@
 // Differential fuzzing of the classic-BPF translator.
 //
 // Generates random valid classic programs, runs each through the reference
-// cBPF interpreter (the oracle) and through translate() on all four eBPF
-// engines, and asserts bit-identical accept/reject/length results. The
+// cBPF interpreter (the oracle) and through translate() on eBPF with the JIT
+// on, with it off and on the decode-every-step eBPF oracle, and asserts
+// bit-identical accept/reject/length results. The
 // translator must never emit a program the verifier rejects for a program
 // that passed check() — a rejection here is a translator bug, so it is a
 // hard failure rather than a skip.
@@ -20,6 +21,7 @@
 #include "ebpf/insn.h"
 #include "ebpf/skb.h"
 #include "ebpf/vm.h"
+#include "engine_oracle.h"
 #include "net/packet.h"
 #include "util/rng.h"
 
@@ -160,10 +162,6 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
   Rng rng(0xcbcbf17e2026ull);
   const auto corpus = make_corpus(rng);
 
-  static constexpr ebpf::EngineKind kEngines[] = {
-      ebpf::EngineKind::kInterpBaseline, ebpf::EngineKind::kInterp,
-      ebpf::EngineKind::kUnchecked, ebpf::EngineKind::kNative};
-
   for (int n = 0; n < kWantedPrograms; ++n) {
     const std::vector<SockFilter> prog = generate(rng);
     ASSERT_TRUE(check(prog).ok) << disasm(prog);
@@ -195,17 +193,29 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
       env.regions.push_back(ebpf::MemRegion{
           reinterpret_cast<std::uintptr_t>(pkt.data()), pkt.size(), false});
 
-      for (const ebpf::EngineKind engine : kEngines) {
-        sys.set_engine(engine);
+      const ebpf::ExecResult oracle = ebpf::run_oracle(
+          sys, *load.prog, env, reinterpret_cast<std::uint64_t>(&skb));
+      ASSERT_TRUE(oracle.ok())
+          << "eBPF oracle: " << oracle.error << "\n" << dump(prog, tr.insns);
+      ASSERT_EQ(static_cast<std::uint64_t>(want), oracle.ret)
+          << "eBPF oracle diverges from the reference interpreter on a "
+          << pkt.size() << "-byte packet\n"
+          << dump(prog, tr.insns);
+      for (const bool jit : {true, false}) {
+        sys.set_jit_enabled(jit);
         const ebpf::ExecResult res =
             sys.run(*load.prog, env, reinterpret_cast<std::uint64_t>(&skb));
+        const char* name = jit ? "JIT on" : "JIT off";
         ASSERT_TRUE(res.ok())
-            << ebpf::engine_name(engine) << ": " << res.error << "\n"
+            << name << ": " << res.error << "\n" << dump(prog, tr.insns);
+        ASSERT_EQ(oracle.ret, res.ret)
+            << name << " diverges from the eBPF oracle on a " << pkt.size()
+            << "-byte packet\n"
             << dump(prog, tr.insns);
-        ASSERT_EQ(static_cast<std::uint64_t>(want), res.ret)
-            << ebpf::engine_name(engine) << " diverges from the reference "
-            << "interpreter on a " << pkt.size() << "-byte packet\n"
-            << dump(prog, tr.insns);
+        ASSERT_EQ(oracle.insns_executed, res.insns_executed)
+            << name << "\n" << dump(prog, tr.insns);
+        ASSERT_EQ(oracle.helper_calls, res.helper_calls)
+            << name << "\n" << dump(prog, tr.insns);
       }
     }
   }

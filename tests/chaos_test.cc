@@ -332,6 +332,37 @@ TEST(CrashRestart, RetryCapGivesUp) {
   EXPECT_TRUE(b.ns().table(0).routes().empty());
 }
 
+TEST(CrashRestart, WithdrawnRouteStaysWithdrawnAfterReinstall) {
+  // The re-installer restores the config as it stood at install(): a route
+  // withdrawn (or replaced) before then must not come back from the dead.
+  sim::Network net(0x3d1e);
+  auto& a = net.add_node("A");
+  auto& b = net.add_node("B");
+  auto l = net.connect(a, A("fc00:1::1"), b, A("fc00:1::2"),
+                       1000ull * 1000 * 1000, sim::kMicro);
+  seg6::Fib& fib = b.ns().table(0);
+  fib.add_route(P("fc00:2::/64"), {net::Ipv6Addr{}, l.b_ifindex, 1});
+  fib.add_route(P("fc00:3::/64"), {net::Ipv6Addr{}, l.b_ifindex, 1});
+  fib.add_route(P("fc00:2::/64"), {A("fc00:1::1"), l.b_ifindex, 1});
+  ASSERT_TRUE(fib.remove_route(P("fc00:3::/64")));
+
+  sim::FaultInjector inj(net, 0x3d1e);
+  sim::CrashSpec spec;
+  spec.crash_at = sim::kMilli;
+  spec.restart_at = 2 * sim::kMilli;
+  inj.crash(b, spec);
+  inj.install();
+  net.run_until(10 * sim::kMilli);
+
+  ASSERT_LT(inj.outages().at(0).installed_at, 10 * sim::kMilli);
+  const seg6::Fib& restored = b.ns().table(0);
+  EXPECT_EQ(restored.lookup(A("fc00:3::5")), nullptr);
+  const seg6::Route* kept = restored.lookup(A("fc00:2::5"));
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->nexthops.at(0).via, A("fc00:1::1"));  // the replacement
+  EXPECT_EQ(restored.route_count(), 1u);
+}
+
 // ---- the degradation ladder: FRR while the FIB is cold ----------------------
 
 TEST(CrashRestart, NeighborDegradesToFrrBackupDuringOutage) {

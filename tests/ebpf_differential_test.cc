@@ -1,18 +1,19 @@
-// Differential fuzzing of the four execution engines.
+// Differential fuzzing of the eBPF executions.
 //
 // Generates random-but-verifiable programs from a seeded Rng and asserts
-// that the baseline decode-every-step interpreter, the pre-decoded threaded
-// interpreter, the unchecked JIT engine and the native x86-64 JIT agree on
-// everything observable: return value, executed-instruction count,
-// helper-call count and map side effects. Any divergence is a bug by
-// definition — this is the safety net under the decode-once refactor and the
+// that the JIT-enabled run (native x86-64 code), the JIT-disabled run (the
+// pre-decoded threaded interpreter) and the decode-every-step reference
+// oracle agree on everything observable: return value, executed-instruction
+// count, helper-call count and map side effects. Any divergence is a bug by
+// definition — this is the safety net under the decode-once form and the
 // machine-code emitter (a miscompiled jump target or a wrong immediate
 // extension shows up here long before it would surface in a paper-figure
-// bench). On hosts without native support the kNative row degrades to the
-// unchecked engine, keeping the test green as a three-way comparison.
+// bench). On hosts without native support the JIT-on run falls back to the
+// interpreter, keeping the test green as a two-way comparison.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "ebpf/asm.h"
@@ -20,6 +21,7 @@
 #include "ebpf/helpers.h"
 #include "ebpf/map.h"
 #include "ebpf/vm.h"
+#include "engine_oracle.h"
 #include "util/rng.h"
 
 namespace srv6bpf::ebpf {
@@ -247,10 +249,17 @@ std::string dump_program(const std::vector<Insn>& insns) {
   sys.maps().create(def);
   auto load = sys.load("dump", ProgType::kLwtSeg6Local, insns);
   if (!load.ok()) return "(program no longer loads)\n" + disasm(insns);
-  return load.prog->compiled().dump();
+  const NativeCode* nc = load.prog->native();
+  return load.prog->decoded().dump() + "native: " +
+         (nc ? std::to_string(nc->code_size()) + " bytes of x86-64 code\n"
+             : std::string("none\n"));
 }
 
-EngineObservation run_on(EngineKind engine, const std::vector<Insn>& insns) {
+// The three executions: bpf_jit_enable = 1 and = 0 through BpfSystem::run,
+// and the oracle called directly.
+enum class Exec { kJitOn, kJitOff, kOracle };
+
+EngineObservation run_on(Exec exec, const std::vector<Insn>& insns) {
   BpfSystem sys;
   const MapDef def{MapType::kArray, 4, 8, kMapEntries, "m"};
   const std::uint32_t map_id = sys.maps().create(def);
@@ -263,14 +272,15 @@ EngineObservation run_on(EngineKind engine, const std::vector<Insn>& insns) {
     obs.exec.error = "verifier: " + load.verify.error;
     return obs;
   }
-  sys.set_engine(engine);
+  sys.set_jit_enabled(exec == Exec::kJitOn);
 
   ExecEnv env;
   std::uint64_t tick = 1000;
   std::uint32_t prand = 0x12345678;
   env.now_ns = [&tick] { return tick += 10; };
   env.prandom = [&prand] { return prand = prand * 1664525u + 1013904223u; };
-  obs.exec = sys.run(*load.prog, env, 0);
+  obs.exec = exec == Exec::kOracle ? run_oracle(sys, *load.prog, env, 0)
+                                   : sys.run(*load.prog, env, 0);
 
   Map* map = sys.maps().get(map_id);
   for (std::uint32_t k = 0; k < kMapEntries; ++k) {
@@ -300,27 +310,24 @@ TEST(Differential, EnginesAgreeOnRandomPrograms) {
     }
     ++verified;
 
-    const EngineObservation base = run_on(EngineKind::kInterpBaseline, insns);
-    const EngineObservation pre = run_on(EngineKind::kInterp, insns);
-    const EngineObservation unchecked = run_on(EngineKind::kUnchecked, insns);
-    const EngineObservation native = run_on(EngineKind::kNative, insns);
+    const EngineObservation oracle = run_on(Exec::kOracle, insns);
+    const EngineObservation jit_on = run_on(Exec::kJitOn, insns);
+    const EngineObservation jit_off = run_on(Exec::kJitOff, insns);
 
-    ASSERT_TRUE(base.exec.ok())
-        << base.exec.error << "\n" << dump_program(insns);
-    ASSERT_TRUE(pre.exec.ok())
-        << pre.exec.error << "\n" << dump_program(insns);
-    ASSERT_TRUE(unchecked.exec.ok())
-        << unchecked.exec.error << "\n" << dump_program(insns);
-    ASSERT_TRUE(native.exec.ok())
-        << native.exec.error << "\n" << dump_program(insns);
+    ASSERT_TRUE(oracle.exec.ok())
+        << oracle.exec.error << "\n" << dump_program(insns);
+    ASSERT_TRUE(jit_on.exec.ok())
+        << jit_on.exec.error << "\n" << dump_program(insns);
+    ASSERT_TRUE(jit_off.exec.ok())
+        << jit_off.exec.error << "\n" << dump_program(insns);
 
-    for (const EngineObservation* row : {&pre, &unchecked, &native}) {
-      ASSERT_EQ(base.exec.ret, row->exec.ret) << dump_program(insns);
-      ASSERT_EQ(base.exec.insns_executed, row->exec.insns_executed)
+    for (const EngineObservation* row : {&jit_on, &jit_off}) {
+      ASSERT_EQ(oracle.exec.ret, row->exec.ret) << dump_program(insns);
+      ASSERT_EQ(oracle.exec.insns_executed, row->exec.insns_executed)
           << dump_program(insns);
-      ASSERT_EQ(base.exec.helper_calls, row->exec.helper_calls)
+      ASSERT_EQ(oracle.exec.helper_calls, row->exec.helper_calls)
           << dump_program(insns);
-      ASSERT_EQ(base.map_values, row->map_values) << dump_program(insns);
+      ASSERT_EQ(oracle.map_values, row->map_values) << dump_program(insns);
     }
   }
   // The generator is tuned so nearly every program verifies; if this drops

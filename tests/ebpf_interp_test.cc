@@ -1,35 +1,39 @@
-// Instruction-semantics tests, run against ALL execution engines through a
-// parameterized fixture: any divergence between the interpreters and the
-// JIT-style engines (unchecked decoded and native x86-64) is a bug by
-// definition.
+// Instruction-semantics tests, run with the JIT on and off through a
+// parameterized fixture. Every run is also executed on the decode-every-step
+// reference oracle and must match it: any divergence between the native
+// JIT, the pre-decoded interpreter and the oracle is a bug by definition.
 #include <gtest/gtest.h>
 
 #include "ebpf/asm.h"
 #include "util/byteorder.h"
 #include "ebpf/helpers.h"
 #include "ebpf/interp.h"
-#include "ebpf/jit.h"
 #include "ebpf/map.h"
 #include "ebpf/program.h"
 #include "ebpf/vm.h"
+#include "engine_oracle.h"
 
 namespace srv6bpf::ebpf {
 namespace {
 
-class EngineTest : public ::testing::TestWithParam<EngineKind> {
+// Parameter: bpf_jit_enable. On hosts without native support the JIT-on
+// runs fall back to the interpreter and the expectations still hold.
+class EngineTest : public ::testing::TestWithParam<bool> {
  protected:
-  // Runs a program through the selected engine: the pre-decoded threaded
-  // interpreter, the legacy decode-every-step interpreter, the unchecked
-  // JIT engine, or the native x86-64 JIT (which degrades to unchecked on
-  // unsupported hosts). All programs in this file are verifiable.
+  // Runs a program under the parameter's JIT setting and on the oracle,
+  // expects the two to agree, and returns the engine's result. All
+  // programs in this file are verifiable.
   ExecResult run(const std::vector<Insn>& insns, std::uint64_t ctx = 0) {
     BpfSystem sys;
     auto load = sys.load("t", ProgType::kLwtSeg6Local, insns);
     EXPECT_TRUE(load.ok()) << load.verify.error;
     if (!load.ok()) return {};
+    sys.set_jit_enabled(GetParam());
     ExecEnv env;
-    sys.set_engine(GetParam());
-    return sys.run(*load.prog, env, ctx);
+    const ExecResult got = sys.run(*load.prog, env, ctx);
+    ExecEnv oracle_env;
+    expect_matches_oracle(got, run_oracle(sys, *load.prog, oracle_env, ctx));
+    return got;
   }
 
   std::uint64_t eval(const std::vector<Insn>& insns) {
@@ -39,19 +43,9 @@ class EngineTest : public ::testing::TestWithParam<EngineKind> {
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(Engines, EngineTest,
-                         ::testing::Values(EngineKind::kInterp,
-                                           EngineKind::kInterpBaseline,
-                                           EngineKind::kUnchecked,
-                                           EngineKind::kNative),
+INSTANTIATE_TEST_SUITE_P(Engines, EngineTest, ::testing::Bool(),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case EngineKind::kInterp: return "Interp";
-                             case EngineKind::kInterpBaseline:
-                               return "InterpBaseline";
-                             case EngineKind::kUnchecked: return "Unchecked";
-                             default: return "Native";
-                           }
+                           return info.param ? "JitOn" : "JitOff";
                          });
 
 // ---- ALU64 -------------------------------------------------------------------
@@ -271,11 +265,14 @@ TEST_P(EngineTest, KtimeHelperFlowsThrough) {
   ASSERT_TRUE(load.ok()) << load.verify.error;
   ExecEnv env;
   env.now_ns = [] { return 12345u; };
-  sys.set_engine(GetParam());
+  sys.set_jit_enabled(GetParam());
   const ExecResult r = sys.run(*load.prog, env, 0);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.ret, 12345u);
   EXPECT_EQ(r.helper_calls, 1u);
+  ExecEnv oracle_env;
+  oracle_env.now_ns = [] { return 12345u; };
+  expect_matches_oracle(r, run_oracle(sys, *load.prog, oracle_env, 0));
 }
 
 TEST_P(EngineTest, InsnCountIsAccurate) {

@@ -1,22 +1,24 @@
 // JIT edge cases the random differential generator under-samples.
 //
-// Every test runs on all four engines (parameterized fixture): the native
+// Every test runs with the JIT on and off (parameterized fixture) and checks
+// each run against the decode-every-step reference oracle: the native
 // x86-64 JIT is the newest and most delicate — division must not trap,
 // 32-bit ops must zero-extend, the BPF stack boundary must be addressable,
 // and helper-driven packet reallocation must not leave stale pointers — but
-// asserting the same behaviour on all engines keeps the whole matrix honest.
-// On hosts without native support the kNative parameter degrades to the
-// unchecked engine and the expectations still hold.
+// asserting the same behaviour on every execution keeps the whole matrix
+// honest. On hosts without native support the JIT-on runs fall back to the
+// interpreter and the expectations still hold.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "ebpf/asm.h"
 #include "ebpf/helpers.h"
 #include "ebpf/insn.h"
-#include "ebpf/jit.h"
 #include "ebpf/vm.h"
+#include "engine_oracle.h"
 #include "net/packet.h"
 #include "seg6/ctx.h"
 #include "seg6/seg6local.h"
@@ -25,16 +27,20 @@
 namespace srv6bpf::ebpf {
 namespace {
 
-class JitEdgeTest : public ::testing::TestWithParam<EngineKind> {
+// Parameter: bpf_jit_enable.
+class JitEdgeTest : public ::testing::TestWithParam<bool> {
  protected:
   ExecResult run(const std::vector<Insn>& insns, std::uint64_t ctx = 0) {
     BpfSystem sys;
     auto load = sys.load("edge", ProgType::kLwtSeg6Local, insns);
     EXPECT_TRUE(load.ok()) << load.verify.error;
     if (!load.ok()) return {};
-    sys.set_engine(GetParam());
+    sys.set_jit_enabled(GetParam());
     ExecEnv env;
-    return sys.run(*load.prog, env, ctx);
+    const ExecResult got = sys.run(*load.prog, env, ctx);
+    ExecEnv oracle_env;
+    expect_matches_oracle(got, run_oracle(sys, *load.prog, oracle_env, ctx));
+    return got;
   }
 
   std::uint64_t eval(const std::vector<Insn>& insns) {
@@ -44,19 +50,9 @@ class JitEdgeTest : public ::testing::TestWithParam<EngineKind> {
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(Engines, JitEdgeTest,
-                         ::testing::Values(EngineKind::kInterp,
-                                           EngineKind::kInterpBaseline,
-                                           EngineKind::kUnchecked,
-                                           EngineKind::kNative),
+INSTANTIATE_TEST_SUITE_P(Engines, JitEdgeTest, ::testing::Bool(),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case EngineKind::kInterp: return "Interp";
-                             case EngineKind::kInterpBaseline:
-                               return "InterpBaseline";
-                             case EngineKind::kUnchecked: return "Unchecked";
-                             default: return "Native";
-                           }
+                           return info.param ? "JitOn" : "JitOff";
                          });
 
 // ---- division / modulo by zero (register divisors; immediate-zero divisors
@@ -247,38 +243,50 @@ TEST_P(JitEdgeTest, AddTlvReallocatesPacketIdenticallyOnAllEngines) {
   // bpf_lwt_seg6_adjust_srh grows the packet, invalidating every previously
   // derived packet pointer; the program re-derives them from ctx afterwards
   // (as the verifier requires). The resulting packet bytes must be identical
-  // on every engine — a stale-pointer bug in any engine shows up here as a
-  // divergence from the interpreter's bytes.
+  // to the oracle's — a stale-pointer bug in any engine shows up here as a
+  // divergence.
   const auto built = usecases::build_add_tlv();
-  auto run_engine = [&](EngineKind engine) {
-    seg6::Netns ns("edge");
-    ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
-                          {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
-    ns.bpf().set_engine(engine);
-    auto load = ns.bpf().load(built.name, ProgType::kLwtSeg6Local,
-                              built.insns, built.paper_sloc);
-    EXPECT_TRUE(load.ok()) << load.verify.error;
+  seg6::Netns ns("edge");
+  ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
+                        {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
+  ns.bpf().set_jit_enabled(GetParam());
+  auto load = ns.bpf().load(built.name, ProgType::kLwtSeg6Local, built.insns,
+                            built.paper_sloc);
+  ASSERT_TRUE(load.ok()) << load.verify.error;
 
-    net::PacketSpec spec;
-    spec.src = net::Ipv6Addr::must_parse("fc00::1");
-    spec.segments = {net::Ipv6Addr::must_parse("fc00::e1"),
-                     net::Ipv6Addr::must_parse("fc00::d1")};
-    spec.payload_size = 64;
-    net::Packet pkt = net::make_udp_packet(spec);
-    const std::size_t before = pkt.size();
-
-    seg6::Seg6LocalEntry e;
-    e.action = seg6::Seg6Action::kEndBPF;
-    e.prog = load.prog;
-    seg6::ProcessTrace trace;
-    const auto r = seg6local_process(ns, pkt, e, &trace);
-    EXPECT_EQ(r.disposition, seg6::Disposition::kContinue);
-    EXPECT_EQ(pkt.size(), before + 8);
-    return std::vector<std::uint8_t>(pkt.data(), pkt.data() + pkt.size());
+  net::PacketSpec spec;
+  spec.src = net::Ipv6Addr::must_parse("fc00::1");
+  spec.segments = {net::Ipv6Addr::must_parse("fc00::e1"),
+                   net::Ipv6Addr::must_parse("fc00::d1")};
+  spec.payload_size = 64;
+  const net::Packet tmpl = net::make_udp_packet(spec);
+  const auto bytes = [](const net::Packet& p) {
+    return std::vector<std::uint8_t>(p.data(), p.data() + p.size());
   };
 
-  const auto reference = run_engine(EngineKind::kInterp);
-  EXPECT_EQ(run_engine(GetParam()), reference);
+  // The engine, through the End.BPF pipeline.
+  net::Packet pkt = tmpl;
+  seg6::Seg6LocalEntry e;
+  e.action = seg6::Seg6Action::kEndBPF;
+  e.prog = load.prog;
+  seg6::ProcessTrace trace;
+  const auto r = seg6local_process(ns, pkt, e, &trace);
+  EXPECT_EQ(r.disposition, seg6::Disposition::kContinue);
+  EXPECT_EQ(pkt.size(), tmpl.size() + 8);
+
+  // The oracle, after the same endpoint step.
+  net::Packet ref = tmpl;
+  ASSERT_TRUE(seg6::srh_advance(ref));
+  seg6::Seg6BurstRunner runner(ns, *load.prog);
+  runner.prepare(ref, nullptr);
+  const ExecResult oracle =
+      run_oracle(ns.bpf(), *load.prog, runner.env(), runner.ctx_addr());
+  runner.harvest();
+  ASSERT_TRUE(oracle.ok()) << oracle.error;
+  EXPECT_EQ(trace.bpf_insns_jit + trace.bpf_insns_interp,
+            oracle.insns_executed);
+  EXPECT_EQ(trace.helper_calls, oracle.helper_calls);
+  EXPECT_EQ(bytes(pkt), bytes(ref));
 }
 
 // ---- maximum-size programs ----
@@ -300,34 +308,116 @@ TEST_P(JitEdgeTest, MaxSizeProgramRuns) {
   const auto insns = a.build();
   ASSERT_EQ(insns.size(), kMaxInsns);
 
-  const ExecResult r = run(insns);
+  const ExecResult r = run(insns);  // checked against the oracle
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.insns_executed, kMaxInsns);
-  // All engines must agree on the chain's value.
-  BpfSystem ref;
-  auto load = ref.load("ref", ProgType::kLwtSeg6Local, insns);
-  ASSERT_TRUE(load.ok());
-  ExecEnv env;
-  EXPECT_EQ(r.ret, ref.run_interpreted(*load.prog, env, 0).ret);
-  if (Jit::available())
-    EXPECT_GT(load.prog->compiled().native_code_size(), 0u);
+  if (native_jit_available()) {
+    BpfSystem sys;
+    auto load = sys.load("max", ProgType::kLwtSeg6Local, insns);
+    ASSERT_TRUE(load.ok());
+    ASSERT_NE(load.prog->native(), nullptr);
+    EXPECT_GT(load.prog->native()->code_size(), 0u);
+  }
 }
 
-// ---- engine observability ----
+// ---- interpreter fallback under bpf_jit_enable = 1 ----
 
-TEST_P(JitEdgeTest, LoadedProgramReportsResolvedEngine) {
-  BpfSystem sys;
-  sys.set_engine(GetParam());
+// Increments slot 0 of an array map by 5, then returns bpf_ktime_get_ns():
+// map side effects and a helper call for the fallback to reproduce.
+std::vector<Insn> map_bump_program(std::uint32_t map_id) {
   Asm a;
-  a.mov64_imm(R0, 0).exit_();
-  auto load = sys.load("obs", ProgType::kLwtSeg6Local, a.build());
-  ASSERT_TRUE(load.ok());
-  EngineKind expect = GetParam();
-  if (expect == EngineKind::kNative && !Jit::available())
-    expect = EngineKind::kUnchecked;
-  EXPECT_EQ(load.prog->engine(), expect);
-  EXPECT_EQ(sys.engine_for(*load.prog), expect);
-  EXPECT_STRNE(engine_name(load.prog->engine()), "?");
+  a.st(BPF_W, R10, -4, 0)
+      .ld_map(R1, map_id)
+      .mov64_reg(R2, R10)
+      .add64_imm(R2, -4)
+      .call(helper::MAP_LOOKUP_ELEM)
+      .jeq_imm(R0, 0, "miss")
+      .ldx(BPF_DW, R1, R0, 0)
+      .add64_imm(R1, 5)
+      .stx(BPF_DW, R0, R1, 0)
+      .label("miss")
+      .call(helper::KTIME_GET_NS)
+      .exit_();
+  return a.build();
+}
+
+std::uint64_t map_slot0(BpfSystem& sys, std::uint32_t map_id) {
+  const std::uint32_t key = 0;
+  const std::uint8_t* v = sys.maps().get(map_id)->lookup(
+      {reinterpret_cast<const std::uint8_t*>(&key), 4});
+  std::uint64_t value = 0;
+  if (v != nullptr) std::memcpy(&value, v, 8);
+  return value;
+}
+
+// The same program without emitted code, as the loader leaves it when the
+// host cannot emit native code.
+LoadedProgram without_native(BpfSystem& sys, const LoadedProgram& prog) {
+  return LoadedProgram(prog.program(),
+                       decode_program(prog.program(), &sys.helpers()),
+                       nullptr);
+}
+
+TEST(JitFallback, ProgramWithoutNativeCodeMatchesNativeRun) {
+  const MapDef def{MapType::kArray, 4, 8, 4, "m"};
+  const auto observe = [&](bool strip_native) {
+    BpfSystem sys;  // JIT enabled by default
+    const std::uint32_t map_id = sys.maps().create(def);
+    auto load =
+        sys.load("bump", ProgType::kLwtSeg6Local, map_bump_program(map_id));
+    EXPECT_TRUE(load.ok()) << load.verify.error;
+    if (native_jit_available()) {
+      EXPECT_NE(load.prog->native(), nullptr);
+    }
+    ExecEnv env;
+    env.now_ns = [] { return 777u; };
+    const ExecResult r =
+        strip_native ? sys.run(without_native(sys, *load.prog), env, 0)
+                     : sys.run(*load.prog, env, 0);
+    return std::make_pair(r, map_slot0(sys, map_id));
+  };
+  const auto [native, native_map] = observe(false);
+  const auto [fallback, fallback_map] = observe(true);
+  ASSERT_TRUE(fallback.ok()) << fallback.error;
+  EXPECT_EQ(fallback.ret, 777u);
+  EXPECT_EQ(fallback.ret, native.ret);
+  EXPECT_EQ(fallback.insns_executed, native.insns_executed);
+  EXPECT_EQ(fallback.helper_calls, native.helper_calls);
+  EXPECT_EQ(fallback_map, 5u);
+  EXPECT_EQ(fallback_map, native_map);
+}
+
+TEST(JitFallback, InstructionsAreChargedToTheJitBucket) {
+  // The cost model bills by the bpf_jit_enable switch, not by the code that
+  // ran: a JIT-enabled program without native code stays in the JIT bucket.
+  seg6::Netns ns("fallback");
+  const std::uint32_t map_id =
+      ns.bpf().maps().create(MapDef{MapType::kArray, 4, 8, 4, "m"});
+  auto load = ns.bpf().load("bump", ProgType::kLwtSeg6Local,
+                            map_bump_program(map_id));
+  ASSERT_TRUE(load.ok()) << load.verify.error;
+  const LoadedProgram fallback = without_native(ns.bpf(), *load.prog);
+
+  net::PacketSpec spec;
+  spec.src = net::Ipv6Addr::must_parse("fc00::1");
+  spec.dst = net::Ipv6Addr::must_parse("fc00::2");
+  net::Packet a = net::make_udp_packet(spec);
+  net::Packet b = net::make_udp_packet(spec);
+  net::Packet* pkts[] = {&a, &b};
+  seg6::ProcessTrace ta, tb;
+  seg6::ProcessTrace* traces[] = {&ta, &tb};
+  std::uint64_t insns = 0;
+  seg6::run_prog_over_burst(
+      ns, fallback, pkts, traces,
+      [&](std::size_t, const ExecResult& exec,
+          const seg6::Seg6BurstRunner::Verdict&) {
+        EXPECT_TRUE(exec.ok()) << exec.error;
+        insns += exec.insns_executed;
+      });
+  EXPECT_GT(insns, 0u);
+  EXPECT_EQ(ta.bpf_insns_jit + tb.bpf_insns_jit, insns);
+  EXPECT_EQ(ta.bpf_insns_interp + tb.bpf_insns_interp, 0u);
+  EXPECT_EQ(map_slot0(ns.bpf(), map_id), 10u);
 }
 
 }  // namespace

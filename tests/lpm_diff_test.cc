@@ -166,7 +166,10 @@ TEST(LpmDifferential, Overlapping48And64) {
   q.bytes[7] = 0x00;  // same /48, different /64
   EXPECT_EQ(*trie.lookup(q.bytes), 48);
 
-  ASSERT_TRUE(trie.erase(p64.bytes, 64));
+  int erased = 0;
+  ASSERT_TRUE(trie.erase(p64.bytes, 64, &erased));
+  EXPECT_EQ(erased, 64) << "erase hands back the removed value";
+  EXPECT_FALSE(trie.erase(p64.bytes, 64, &erased));
   q.bytes[7] = 0xcd;
   EXPECT_EQ(*trie.lookup(q.bytes), 48) << "erase-then-relookup: /48 uncovered";
 }

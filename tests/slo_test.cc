@@ -7,6 +7,7 @@
 
 #include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/sink.h"
@@ -482,6 +483,29 @@ TEST(Fib, RemoveRouteInvalidatesCacheAndReturnsFalseWhenAbsent) {
   EXPECT_EQ(fib.lookup(A("fc00:2::5")), nullptr);  // cached slot invalidated
   EXPECT_FALSE(fib.remove_route(P("fc00:2::/64")));
   EXPECT_FALSE(fib.remove_route(P("fc00:9::/64")));
+  EXPECT_EQ(fib.route_count(), 0u);
+
+  // Replace and withdraw cycles keep exactly one record per live prefix,
+  // and a withdraw that moves another record keeps that route reachable.
+  for (int i = 0; i < 4; ++i) {
+    const std::string prefix = "fc00:" + std::to_string(10 + i) + "::/64";
+    fib.add_route(P(prefix.c_str()), {A("fe80::1"), 1, 1});
+  }
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    fib.add_route(P("fc00:11::/64"), {A("fe80::2"), 2, 1});  // replace
+    EXPECT_EQ(fib.route_count(), 4u);
+    EXPECT_TRUE(fib.remove_route(P("fc00:10::/64")));  // moves the last
+    EXPECT_EQ(fib.route_count(), 3u);
+    EXPECT_EQ(fib.lookup(A("fc00:10::5")), nullptr);
+    const seg6::Route* moved = fib.lookup(A("fc00:13::5"));
+    ASSERT_NE(moved, nullptr);
+    EXPECT_EQ(moved->prefix, P("fc00:13::/64"));
+    const seg6::Route* replaced = fib.lookup(A("fc00:11::5"));
+    ASSERT_NE(replaced, nullptr);
+    EXPECT_EQ(replaced->nexthops.at(0).oif, 2);
+    fib.add_route(P("fc00:10::/64"), {A("fe80::1"), 1, 1});  // re-add
+    EXPECT_EQ(fib.route_count(), 4u);
+  }
 }
 
 // End-to-end: delivered latency recorded by a sink-attached tracer is
