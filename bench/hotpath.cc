@@ -21,8 +21,8 @@
 //                  not gated.
 //
 // For each run the measured window (after a 30 ms warm-up that fills the RX
-// rings, the event queue's reserved storage and the pools) reports simulated
-// sink kpps, simulated-packets-per-wall-second, and — through the
+// rings, the event loop's slab and heap storage and the pools) reports
+// simulated sink kpps, simulated-packets-per-wall-second, and — through the
 // util/alloc_hooks operator-new counter compiled into this binary — the
 // exact number of allocator calls in the window and per forwarded packet.
 //
@@ -130,7 +130,7 @@ Run run_one(bool fib48, bool pooled, bool use_template, sim::TimeNs duration) {
     lab.gen->start();
 
     // Warm-up: fills the RX rings to their limit (the scenario saturates R),
-    // the event queue's reserved heap storage and the buffer/burst pools.
+    // the event loop's slab and heap storage and the buffer/burst pools.
     lab.net.run_for(30 * sim::kMilli);
     lab.sink->reset();
     net::BufferPool::reset_stats();

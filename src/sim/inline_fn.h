@@ -42,8 +42,8 @@ class InlineFn {
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "over-aligned closure capture");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "closure must be nothrow-movable (events relocate inside "
-                  "the priority queue)");
+                  "closure must be nothrow-movable (an InlineFn relocates "
+                  "into its event-loop slot or mailbox slot)");
     ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
     ops_ = &kOpsFor<Fn>;
   }

@@ -12,6 +12,11 @@
 // drained), and the delivery closure itself, moved through the ring slot so
 // pooled packet buffers travel without copies.
 //
+// Slot storage is allocated uninitialised: a PdesMail is placement-
+// constructed into its slot on push and destroyed on pop, so building a
+// mailbox touches none of its pages, and only slots that carry a message are
+// ever written. The destructor destroys the messages still in flight.
+//
 // Capacity is fixed; `push` spins when the ring is full. That cannot
 // deadlock: every domain worker drains its inbound mailboxes on each
 // scheduling pass even when its conservative horizon forbids executing
@@ -23,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <thread>
 
 #include "sim/event_loop.h"
@@ -46,7 +52,14 @@ class PdesMailbox {
   static constexpr std::size_t kCapacity = 1024;
   static_assert((kCapacity & (kCapacity - 1)) == 0, "power-of-two ring");
 
-  PdesMailbox() : slots_(std::make_unique<PdesMail[]>(kCapacity)) {}
+  PdesMailbox()
+      : slots_(std::make_unique_for_overwrite<Slot[]>(kCapacity)) {}
+  ~PdesMailbox() {
+    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
+    for (std::uint64_t i = head_.load(std::memory_order_relaxed); i != tail;
+         ++i)
+      at(i).~PdesMail();
+  }
 
   PdesMailbox(const PdesMailbox&) = delete;
   PdesMailbox& operator=(const PdesMailbox&) = delete;
@@ -56,7 +69,8 @@ class PdesMailbox {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_.load(std::memory_order_acquire) == kCapacity)
       return false;
-    slots_[tail & (kCapacity - 1)] = std::move(m);
+    ::new (static_cast<void*>(slots_[tail & (kCapacity - 1)].bytes))
+        PdesMail(std::move(m));
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -82,7 +96,9 @@ class PdesMailbox {
   bool try_pop(PdesMail& out) noexcept {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (tail_.load(std::memory_order_acquire) == head) return false;
-    out = std::move(slots_[head & (kCapacity - 1)]);
+    PdesMail& m = at(head);
+    out = std::move(m);
+    m.~PdesMail();
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -99,13 +115,24 @@ class PdesMailbox {
   }
 
  private:
+  // Raw storage for one message; holds a live PdesMail only between the
+  // push that fills it and the pop that empties it.
+  struct Slot {
+    alignas(PdesMail) std::byte bytes[sizeof(PdesMail)];
+  };
+
+  PdesMail& at(std::uint64_t cursor) noexcept {
+    return *std::launder(
+        reinterpret_cast<PdesMail*>(slots_[cursor & (kCapacity - 1)].bytes));
+  }
+
   // Cursors on separate cache lines so producer and consumer don't false-
   // share; slots are written by the producer and read by the consumer with
   // the tail_ release/acquire pair ordering the hand-off.
   alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer cursor
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer cursor
   std::atomic<std::uint64_t> overflow_spins_{0};
-  std::unique_ptr<PdesMail[]> slots_;
+  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace srv6bpf::sim

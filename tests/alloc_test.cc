@@ -1,6 +1,7 @@
 // The zero-allocation steady state (ISSUE 5): BufferPool/BurstPool
-// recycling, InlineFn event closures, RxRing backlogs and template-stamped
-// generation.
+// recycling, InlineFn event closures (built once in the EventLoop slab, never
+// relocated, destroyed once — also on teardown), RxRing backlogs and
+// template-stamped generation.
 //
 // This binary compiles bench/alloc_hooks_impl.cc, so the global operator
 // new/delete are the counting replacements — the allocation-regression test
@@ -13,7 +14,9 @@
 
 #include <cstring>
 #include <deque>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
@@ -22,6 +25,7 @@
 #include "seg6/seg6local.h"
 #include "sim/inline_fn.h"
 #include "sim/network.h"
+#include "sim/pdes_mailbox.h"
 #include "sim/rx_ring.h"
 #include "usecases/programs.h"
 #include "util/alloc_hooks.h"
@@ -157,6 +161,148 @@ TEST(InlineFn, CarriesMoveOnlyCaptures) {
   });
   loop.run();
   EXPECT_EQ(seen, 2u);
+}
+
+// ---- Closure lifecycle: EventLoop slab and PdesMailbox ----------------------
+
+// What happened to one closure's capture. A moved-from Counted is inert, so
+// `destroys` counts the end of the live capture only.
+struct Lifecycle {
+  int moves = 0;
+  int moves_at_run = -1;
+  int runs = 0;
+  int destroys = 0;
+};
+
+struct Counted {
+  Lifecycle* life;
+  explicit Counted(Lifecycle* l) noexcept : life(l) {}
+  Counted(Counted&& o) noexcept : life(o.life) {
+    o.life = nullptr;
+    ++life->moves;
+  }
+  Counted& operator=(Counted&&) = delete;
+  ~Counted() {
+    if (life != nullptr) ++life->destroys;
+  }
+};
+
+auto counted_closure(Lifecycle* l) {
+  return [c = Counted(l)] {
+    ++c.life->runs;
+    c.life->moves_at_run = c.life->moves;
+  };
+}
+
+// Also parks a one-packet burst in a pooled node, like a Link delivery.
+auto burst_closure(Lifecycle* l) {
+  net::BurstPool::Handle h(net::BurstPool::acquire());
+  (*h).push(net::Packet{std::span<const std::uint8_t>({0xaa, 0xbb})}, 0);
+  return [c = Counted(l), h = std::move(h)] { ++c.life->runs; };
+}
+
+// Nodes handed out since the last BurstPool::trim() + reset_stats() and not
+// yet returned.
+std::uint64_t bursts_outstanding() {
+  const net::BurstPool::Stats s = net::BurstPool::stats();
+  return s.allocs - s.pooled;
+}
+
+TEST(ClosureLifecycle, ScheduledLambdaIsMovedAtMostOnceAtAnyQueueDepth) {
+  constexpr std::size_t kN = 2000;
+  std::vector<Lifecycle> life(kN);
+  sim::EventLoop loop;
+  Rng rng(0x11fe);
+  // Fill to ~1000 pending (across several slab chunks), then alternate
+  // schedule and step at that depth, then drain.
+  std::size_t next = 0;
+  for (; next < kN / 2; ++next)
+    loop.schedule_at(loop.now() + rng.uniform(1, 1000),
+                     counted_closure(&life[next]));
+  for (; next < kN; ++next) {
+    loop.schedule_at(loop.now() + rng.uniform(1, 1000),
+                     counted_closure(&life[next]));
+    loop.step();
+  }
+  loop.run();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(life[i].runs, 1) << "closure " << i;
+    EXPECT_LE(life[i].moves_at_run, 1) << "closure " << i;
+    EXPECT_EQ(life[i].destroys, 1) << "closure " << i;
+  }
+}
+
+TEST(ClosureLifecycle, PrebuiltInlineFnIsMovedAtMostTwice) {
+  // The Link::transmit_burst shape: the closure is built into an InlineFn
+  // first, then handed to schedule_at.
+  constexpr std::size_t kN = 600;
+  std::vector<Lifecycle> life(kN);
+  sim::EventLoop loop;
+  for (std::size_t i = 0; i < kN; ++i) {
+    sim::InlineFn deliver(counted_closure(&life[i]));
+    loop.schedule_at(kN - i, std::move(deliver));
+  }
+  loop.run();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(life[i].runs, 1) << "closure " << i;
+    EXPECT_LE(life[i].moves_at_run, 2) << "closure " << i;
+    EXPECT_EQ(life[i].destroys, 1) << "closure " << i;
+  }
+}
+
+TEST(ClosureLifecycle, ClosureRunsInPlaceWhileItGrowsTheSlab) {
+  // The running closure schedules enough events to add slab chunks, then
+  // reads its own capture: chunks never move, so the capture is intact
+  // (ASan would flag a relocated slab as use-after-free).
+  Lifecycle outer;
+  std::vector<Lifecycle> inner(3 * sim::EventLoop::kChunkSlots);
+  sim::EventLoop loop;
+  loop.schedule_at(1, [c = Counted(&outer), &loop, &inner] {
+    for (Lifecycle& l : inner) loop.schedule_at(2, counted_closure(&l));
+    ++c.life->runs;
+  });
+  loop.run();
+  EXPECT_EQ(outer.runs, 1);
+  EXPECT_EQ(outer.destroys, 1);
+  for (const Lifecycle& l : inner) {
+    EXPECT_EQ(l.runs, 1);
+    EXPECT_EQ(l.destroys, 1);
+  }
+}
+
+TEST(ClosureLifecycle, TeardownDestroysPendingCapturesAndReturnsPoolNodes) {
+  PoolGuard guard;
+  net::BufferPool::set_enabled(true);
+  net::BurstPool::trim();
+  net::BurstPool::reset_stats();
+  const std::uint64_t bufs0 = net::BufferPool::stats().outstanding;
+
+  constexpr std::size_t kN = 600;
+  std::vector<Lifecycle> life(kN);
+  {
+    sim::EventLoop loop;
+    sim::PdesMailbox box;
+    for (std::size_t i = 0; i < kN / 2; ++i)
+      loop.schedule_at(i + 1, burst_closure(&life[i]));
+    for (std::size_t i = kN / 2; i < kN; ++i)
+      box.push(sim::PdesMail{i + 1, 0, sim::EventLoop::Stamp{0, 1, i},
+                             sim::InlineFn(burst_closure(&life[i]))});
+    loop.run_until(100);  // runs closures 0..99
+    // Moves 50 messages into the loop; 250 stay in the mailbox.
+    sim::PdesMail m;
+    for (int k = 0; k < 50; ++k) {
+      ASSERT_TRUE(box.try_pop(m));
+      loop.inject(m.t, m.key, m.stamp, std::move(m.fn));
+    }
+    EXPECT_EQ(loop.pending(), kN / 2 - 100 + 50);
+    EXPECT_EQ(bursts_outstanding(), kN - 100);
+  }
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(life[i].runs, i < 100 ? 1 : 0) << "closure " << i;
+    EXPECT_EQ(life[i].destroys, 1) << "closure " << i;
+  }
+  EXPECT_EQ(bursts_outstanding(), 0u);
+  EXPECT_EQ(net::BufferPool::stats().outstanding, bufs0);
 }
 
 // ---- RxRing -----------------------------------------------------------------
@@ -336,8 +482,8 @@ TEST(ZeroAlloc, WarmedFig2WindowPerformsNoAllocations) {
   apps::TrafGen gen(lab.s1, cfg);
   gen.start();
 
-  // Warm-up fills the RX rings to their limit, the event queue's reserved
-  // storage and the pools.
+  // Warm-up fills the RX rings to their limit, the event loop's slab and
+  // heap storage and the pools.
   lab.net.run_for(20 * sim::kMilli);
   const std::uint64_t delivered0 = lab.dig.delivered;
   const util::AllocCounters before = util::alloc_counters();
@@ -350,6 +496,37 @@ TEST(ZeroAlloc, WarmedFig2WindowPerformsNoAllocations) {
       << "steady-state forwarding allocated on the heap ("
       << (after.news - before.news) << " operator-new calls over "
       << window_pkts << " delivered packets)";
+}
+
+TEST(ZeroAlloc, EventLoopSlabGrowsOnlyDuringWarmUp) {
+  ASSERT_TRUE(util::alloc_hooks_active())
+      << "alloc_test must be built with bench/alloc_hooks_impl.cc";
+  constexpr std::size_t kDepth = 700;
+  static_assert(kDepth > 2 * sim::EventLoop::kChunkSlots,
+                "warm-up must cross chunk boundaries");
+  sim::EventLoop loop;
+  Rng rng(0x51ab);
+  std::uint64_t ran = 0;
+  auto fill = [&] {
+    while (loop.pending() < kDepth)
+      loop.schedule_at(loop.now() + rng.uniform(1, 1000), [&ran] { ++ran; });
+  };
+  // Warm-up: grow to the depth, then drain.
+  fill();
+  loop.run();
+
+  const util::AllocCounters before = util::alloc_counters();
+  fill();
+  for (int i = 0; i < 100000; ++i) {
+    loop.step();
+    loop.schedule_at(loop.now() + rng.uniform(1, 1000), [&ran] { ++ran; });
+  }
+  loop.run();
+  const util::AllocCounters after = util::alloc_counters();
+
+  EXPECT_EQ(ran, 2 * kDepth + 100000);
+  EXPECT_EQ(after.news - before.news, 0u)
+      << "a steady-state window at the warmed depth allocated";
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "apps/sink.h"
@@ -128,6 +129,143 @@ TEST(EventLoopOrder, RunEventsBeforeIsStrictAndCountsExecutions) {
   EXPECT_EQ(loop.run_events_before(31), 2u);
   EXPECT_EQ(loop.next_time(), sim::kTimeInfinity);
   EXPECT_EQ(loop.now(), 30u);
+}
+
+// The full ordering contract, independent of how the queue is built: 100k
+// seeded random operations on one loop — colliding schedule_at_key times and
+// keys (some in the past, so clamped), injections with foreign stamps,
+// closures that schedule at now() from inside themselves, and
+// run_events_before / run_until / step bounds — executed in lockstep against
+// a model that keeps every pending (t, key, birth_t, dom, seq) record in a
+// vector, stable-sorts it and runs its head.
+TEST(EventLoopOrder, RandomOperationsMatchStableSortModel) {
+  constexpr std::uint32_t kDom = 3;
+  struct Rec {
+    sim::TimeNs t;
+    std::uint32_t key;
+    sim::EventLoop::Stamp birth;
+    std::uint64_t id;
+    int depth;
+  };
+  // Every third event spawns one child at now(), at most two levels deep.
+  static constexpr auto spawns = [](std::uint64_t id, int depth) {
+    return depth < 2 && id % 3 == 0;
+  };
+
+  struct Real {
+    sim::EventLoop loop;
+    std::vector<std::uint64_t> ran;
+    std::uint64_t next_id = 0;
+    auto body(std::uint64_t id, int depth) {
+      return [this, id, depth] {
+        ran.push_back(id);
+        if (spawns(id, depth)) schedule(loop.now(), 0, depth + 1);
+      };
+    }
+    void schedule(sim::TimeNs t, std::uint32_t key, int depth) {
+      loop.schedule_at_key(t, key, body(next_id++, depth));
+    }
+    void inject(sim::TimeNs t, std::uint32_t key, sim::EventLoop::Stamp s) {
+      loop.inject(t, key, s, sim::InlineFn(body(next_id++, 0)));
+    }
+  } real;
+  real.loop.set_domain(kDom);
+
+  struct Model {
+    sim::TimeNs now = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t next_id = 0;
+    std::vector<Rec> pending;  // head() sorts it descending: head last
+    bool sorted = true;
+    std::vector<std::uint64_t> ran;
+    void add(Rec r) {
+      r.t = std::max(r.t, now);
+      r.id = next_id++;
+      pending.push_back(r);
+      sorted = false;
+    }
+    void schedule(sim::TimeNs t, std::uint32_t key, int depth) {
+      add(Rec{t, key, {now, kDom, seq++}, 0, depth});
+    }
+    const Rec* head() {
+      if (!sorted) {
+        std::stable_sort(pending.begin(), pending.end(),
+                         [](const Rec& a, const Rec& b) {
+                           return std::tie(a.t, a.key, a.birth.birth_t,
+                                           a.birth.dom, a.birth.seq) >
+                                  std::tie(b.t, b.key, b.birth.birth_t,
+                                           b.birth.dom, b.birth.seq);
+                         });
+        sorted = true;
+      }
+      return pending.empty() ? nullptr : &pending.back();
+    }
+    void step() {
+      const Rec r = pending.back();
+      pending.pop_back();
+      now = r.t;
+      ran.push_back(r.id);
+      if (spawns(r.id, r.depth)) schedule(now, 0, r.depth + 1);
+    }
+  } model;
+
+  Rng rng(0x0bde'7001);
+  std::uint64_t foreign_seq[2] = {0, 0};
+  for (int op = 0; op < 100000; ++op) {
+    const std::uint64_t kind = rng.uniform(0, 99);
+    if (kind < 45) {
+      // Three keys, and times on the 10 ns grid: many exact (t, key)
+      // collisions; a tenth land in the past and are clamped to now().
+      const sim::TimeNs now = model.now;
+      const sim::TimeNs back =
+          std::min<sim::TimeNs>(now / 10, rng.uniform(1, 3)) * 10;
+      const sim::TimeNs t = rng.chance(0.1) ? now - back
+                                            : now + rng.uniform(0, 8) * 10;
+      const auto key = static_cast<std::uint32_t>(rng.uniform(0, 2));
+      real.schedule(t, key, 0);
+      model.schedule(t, key, 0);
+    } else if (kind < 65) {
+      // A delivery from domain 1 or 5 with a sender stamp born on the grid
+      // at or before its delivery time, so birth times tie with local
+      // events and with each other and the domain id decides.
+      const std::size_t f = rng.uniform(0, 1);
+      const sim::TimeNs t = model.now + rng.uniform(0, 8) * 10;
+      const sim::TimeNs born =
+          t - rng.uniform(0, std::min<sim::TimeNs>(t / 10, 3)) * 10;
+      const sim::EventLoop::Stamp s{born, f == 0 ? 1u : 5u,
+                                    foreign_seq[f]++};
+      const auto key = static_cast<std::uint32_t>(rng.uniform(0, 2));
+      real.inject(t, key, s);
+      model.add(Rec{t, key, s, 0, 0});
+    } else if (kind < 80) {
+      const sim::TimeNs bound = model.now + rng.uniform(0, 6) * 10;
+      std::size_t n = 0;
+      while (model.head() != nullptr && model.head()->t < bound) {
+        model.step();
+        ++n;
+      }
+      ASSERT_EQ(real.loop.run_events_before(bound), n) << "op " << op;
+    } else if (kind < 92) {
+      const sim::TimeNs bound = model.now + rng.uniform(0, 6) * 10;
+      while (model.head() != nullptr && model.head()->t <= bound)
+        model.step();
+      model.now = std::max(model.now, bound);
+      real.loop.run_until(bound);
+    } else {
+      const bool any = model.head() != nullptr;
+      if (any) model.step();
+      ASSERT_EQ(real.loop.step(), any) << "op " << op;
+    }
+    ASSERT_EQ(real.loop.now(), model.now) << "op " << op;
+    ASSERT_EQ(real.loop.pending(), model.pending.size()) << "op " << op;
+    ASSERT_EQ(real.ran.size(), model.ran.size()) << "op " << op;
+  }
+  real.loop.run();
+  while (model.head() != nullptr) model.step();
+  ASSERT_EQ(real.ran.size(), model.ran.size());
+  EXPECT_GT(real.ran.size(), 50000u);
+  for (std::size_t i = 0; i < model.ran.size(); ++i)
+    ASSERT_EQ(real.ran[i], model.ran[i]) << "execution " << i;
 }
 
 // ---- SPSC mailbox -----------------------------------------------------------
