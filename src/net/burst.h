@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
 
 #include "net/packet.h"
 
@@ -132,6 +133,26 @@ class PacketBurst {
   alignas(Packet) std::byte storage_[kMaxBurstPackets * sizeof(Packet)];
   BurstSlotMeta meta_[kMaxBurstPackets];
   std::size_t size_ = 0;
+};
+
+// Per-slot scratch for one burst — kMaxBurstPackets elements of T on the
+// caller's stack, with no constructor run: a burst of n packets touches
+// only the n slots it writes, never the whole capacity. T must be
+// trivially copyable and destructible (an implicit-lifetime type, so the
+// storage provides its objects), and every slot must be written before it
+// is read (tests/burst_test.cc pins the datapath's scratch at every burst
+// size against bursts of one).
+template <typename T>
+class BurstScratch {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+
+ public:
+  T* data() noexcept { return std::launder(reinterpret_cast<T*>(storage_)); }
+  T& operator[](std::size_t i) noexcept { return data()[i]; }
+
+ private:
+  alignas(T) std::byte storage_[kMaxBurstPackets * sizeof(T)];
 };
 
 }  // namespace srv6bpf::net

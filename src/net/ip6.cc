@@ -1,8 +1,10 @@
 #include "net/ip6.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/byteorder.h"
@@ -23,6 +25,30 @@ bool Ipv6Addr::is_unspecified() const noexcept {
   for (std::uint8_t b : bytes_)
     if (b != 0) return false;
   return true;
+}
+
+void Ipv6AddrSet::insert(const Ipv6Addr& a) {
+  if (a == Ipv6Addr{}) {
+    has_unspecified_ = true;
+    return;
+  }
+  if (contains(a)) return;
+  if (2 * (count_ + 1) > slots_.size()) {
+    const std::size_t cap = std::max<std::size_t>(16, 2 * slots_.size());
+    const std::vector<Ipv6Addr> old =
+        std::exchange(slots_, std::vector<Ipv6Addr>(cap));
+    for (const Ipv6Addr& m : old)
+      if (m != Ipv6Addr{}) place(m);
+  }
+  place(a);
+  ++count_;
+}
+
+void Ipv6AddrSet::place(const Ipv6Addr& a) noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = Ipv6AddrHash{}(a) & mask;
+  while (slots_[i] != Ipv6Addr{}) i = (i + 1) & mask;
+  slots_[i] = a;
 }
 
 bool Ipv6Addr::in_prefix(const Ipv6Addr& prefix, int prefix_len) const noexcept {

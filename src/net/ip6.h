@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace srv6bpf::net {
 
@@ -68,6 +69,35 @@ struct Ipv6AddrHash {
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return static_cast<std::size_t>(z ^ (z >> 31));
   }
+};
+
+// Insert-only set of addresses for per-packet membership tests (a node's
+// local addresses): open addressing with linear probing over a flat
+// power-of-two table kept at most half full, hashed with Ipv6AddrHash. A
+// lookup is one hash and, typically, one or two adjacent 16-byte compares —
+// no pointer chasing, even at the 64k members of a node that owns a whole
+// site range. The unspecified address `::` marks empty slots, so its own
+// membership is a separate flag.
+class Ipv6AddrSet {
+ public:
+  void insert(const Ipv6Addr& a);
+  bool contains(const Ipv6Addr& a) const noexcept {
+    if (a == Ipv6Addr{}) return has_unspecified_;
+    if (slots_.empty()) return false;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = Ipv6AddrHash{}(a) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == a) return true;
+      if (slots_[i] == Ipv6Addr{}) return false;
+    }
+  }
+
+ private:
+  // Places `a` (not ::, not yet present) into a table with a free slot.
+  void place(const Ipv6Addr& a) noexcept;
+
+  std::vector<Ipv6Addr> slots_;  // :: = empty
+  std::size_t count_ = 0;        // members other than ::
+  bool has_unspecified_ = false;
 };
 
 // A routing prefix: address + length.

@@ -12,7 +12,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 
@@ -101,9 +100,11 @@ class Netns {
   const std::map<int, Fib>& tables() const noexcept { return tables_; }
   Seg6LocalTable& seg6local() noexcept { return *seg6local_; }
 
+  // Local addresses: the per-packet "is this for me" check of every
+  // classify and continue round, so a flat hash set (net::Ipv6AddrSet).
   void add_local_addr(const net::Ipv6Addr& a) { local_addrs_.insert(a); }
-  bool is_local(const net::Ipv6Addr& a) const {
-    return local_addrs_.count(a) != 0;
+  bool is_local(const net::Ipv6Addr& a) const noexcept {
+    return local_addrs_.contains(a);
   }
 
   // Source address used for SRH encapsulation (ip sr tunsrc analogue).
@@ -146,7 +147,7 @@ class Netns {
   ebpf::BpfSystem bpf_;
   std::map<int, Fib> tables_;
   std::unique_ptr<Seg6LocalTable> seg6local_;
-  std::set<net::Ipv6Addr> local_addrs_;
+  net::Ipv6AddrSet local_addrs_;
   std::uint64_t prandom_state_ = 0x853c49e6748fea9bull;
   // One slot per possible CPU context (current_cpu is clamped below
   // ebpf::kMaxCpus by the Node's context setup).

@@ -5,7 +5,8 @@
 // route indices as values: a /48 lookup is 6 byte-indexed node hops instead
 // of 48 bit tests (bench/lpm_sweep.cc tracks the ratio). Nexthop selection
 // for multipath routes uses a 5-tuple flow hash, like the kernel's
-// flowlabel/5-tuple ECMP (§4.3's End.OAMP queries these nexthops).
+// flowlabel/5-tuple ECMP (§4.3's End.OAMP queries these nexthops); a
+// single-nexthop route has no choice to make and is never hashed.
 #pragma once
 
 #include <cstdint>
@@ -124,6 +125,12 @@ class Fib {
   // hash-threshold mapping. Requires a non-empty nexthop list.
   static const Nexthop& select_nexthop(const Route& route,
                                        std::uint32_t flow_hash);
+  // The forwarding path's entry point: a single-nexthop route returns that
+  // nexthop without hashing `pkt` (add_route rejects weights <= 0, so the
+  // hash could pick nothing else); a multipath route hashes the packet's
+  // flow. Same result as select_nexthop(route, flow_hash(pkt)).
+  static const Nexthop& select_nexthop(const Route& route,
+                                       const net::Packet& pkt);
 
   // The live routes, one per prefix, in no particular order.
   std::size_t route_count() const noexcept { return routes_.size(); }
@@ -147,5 +154,11 @@ class Fib {
 // 5-tuple flow hash over the *innermost* IPv6+transport headers of a packet
 // (so ECMP keeps flows on one path even when encapsulated upstream).
 std::uint32_t flow_hash(const net::Packet& pkt);
+
+inline const Nexthop& Fib::select_nexthop(const Route& route,
+                                          const net::Packet& pkt) {
+  return route.nexthops.size() == 1 ? route.nexthops[0]
+                                    : select_nexthop(route, flow_hash(pkt));
+}
 
 }  // namespace srv6bpf::seg6

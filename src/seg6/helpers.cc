@@ -121,7 +121,7 @@ std::uint64_t do_seg6_action(ExecEnv& env, std::uint64_t /*skb*/,
     net::Ipv6View ip(pkt.data());
     const Route* route = fib->lookup(ip.dst(), ns.fib_cache_slot());
     if (route == nullptr || route->nexthops.empty()) return err_(kENoEnt);
-    const Nexthop& nh = Fib::select_nexthop(*route, flow_hash(pkt));
+    const Nexthop& nh = Fib::select_nexthop(*route, pkt);
     pkt.dst().nexthop = nh.via.is_unspecified() ? ip.dst() : nh.via;
     pkt.dst().oif = nh.oif;
     pkt.dst().valid = true;

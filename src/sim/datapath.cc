@@ -11,9 +11,11 @@ namespace srv6bpf::sim {
 namespace {
 
 // Scratch the stages share for one burst. Lives on the caller's stack so the
-// pipeline stays re-entrant (ICMP generation sends from inside a burst).
+// pipeline stays re-entrant (ICMP generation sends from inside a burst), and
+// is left uninitialised: classify writes slot i of each array for every
+// i < n before any stage reads it.
 struct BurstState {
-  std::array<seg6::PipelineResult, net::kMaxBurstPackets> r;
+  net::BurstScratch<seg6::PipelineResult> r;
   std::array<bool, net::kMaxBurstPackets> active;
 };
 
@@ -46,7 +48,7 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
   // share a lookup key (destination or route).
   std::array<net::Packet*, net::kMaxBurstPackets> gp;
   std::array<seg6::ProcessTrace*, net::kMaxBurstPackets> gt;
-  std::array<seg6::PipelineResult, net::kMaxBurstPackets> gr;
+  net::BurstScratch<seg6::PipelineResult> gr;
   std::array<std::size_t, net::kMaxBurstPackets> gi;
 
   // Finalizers. These mirror the single-packet state machine's exits; the
@@ -221,8 +223,7 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
           return;
         }
         net::Packet& p = *gp[k];
-        const seg6::Nexthop& nh =
-            seg6::Fib::select_nexthop(*route, seg6::flow_hash(p));
+        const seg6::Nexthop& nh = seg6::Fib::select_nexthop(*route, p);
         if (node.iface_link_down(nh.oif) && route->frr != nullptr) {
           const seg6::FrrBackup& frr = *route->frr;
           if (!frr.segments.empty()) {

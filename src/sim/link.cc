@@ -50,7 +50,13 @@ void Link::transmit_burst(net::PacketBurst&& burst, int from_side) {
 
   EventLoop& loop = *tx.loop;
   const TimeNs now = loop.now();
-  net::PacketBurst out;  // survivors, stamped with their wire arrival times
+  // Survivors, stamped with their wire arrival times, go straight into the
+  // pooled node the delivery event carries: the closure then holds only a
+  // pointer (a by-value PacketBurst capture would blow InlineFn's inline
+  // budget), and the Handle recycles the node (and its packet buffers) if
+  // every packet drops or the event loop is torn down before delivery.
+  net::BurstPool::Handle h(net::BurstPool::acquire());
+  net::PacketBurst& out = *h;
   for (std::size_t i = 0; i < burst.size(); ++i) {
     net::Packet& pkt = burst.pkt(i);
     // The packet's logical enqueue time: its CPU-completion timestamp when
@@ -100,16 +106,10 @@ void Link::transmit_burst(net::PacketBurst&& burst, int from_side) {
 
   // Back-to-back serialization makes arrivals monotone, so one event at the
   // last arrival moves the whole burst; per-packet arrival times ride in the
-  // metadata (interrupt coalescing, in effect). The burst is parked in a
-  // pooled node so the event closure carries only a pointer — a by-value
-  // PacketBurst capture would blow InlineFn's inline budget — and the Handle
-  // recycles the node (and its packet buffers) even if the event loop is
-  // torn down before delivery.
+  // metadata (interrupt coalescing, in effect).
   const TimeNs last_arrival = out.meta(out.size() - 1).at_ns;
   Node* dst_node = rx.node;
   const int dst_if = rx.ifindex;
-  net::BurstPool::Handle h(net::BurstPool::acquire());
-  *h = std::move(out);
   InlineFn deliver([dst_node, dst_if, h = std::move(h)]() mutable {
     dst_node->receive_burst_from_link(std::move(*h), dst_if);
   });

@@ -235,7 +235,7 @@ void Node::service_burst(CpuContext& ctx) {
   cur_ctx_ = &ctx;
   ns_.current_cpu = ctx.id;
 
-  std::array<seg6::ProcessTrace, net::kMaxBurstPackets> traces;
+  net::BurstScratch<seg6::ProcessTrace> traces;
   datapath_.process_burst(b, /*local_out=*/false, traces.data());
   trace_ = traces[b.size() - 1];
 
@@ -289,7 +289,7 @@ void Node::process_and_dispatch(net::PacketBurst& b, bool local_out) {
   CpuContext* prev_ctx = cur_ctx_;
   if (cur_ctx_ == nullptr) cur_ctx_ = &contexts()[0];
 
-  std::array<seg6::ProcessTrace, net::kMaxBurstPackets> traces;
+  net::BurstScratch<seg6::ProcessTrace> traces;
   datapath_.process_burst(b, local_out, traces.data());
   trace_ = traces[b.size() - 1];
   const TimeNs now = loop_->now();

@@ -197,9 +197,10 @@ class Node {
     int side = 0;
     net::Ipv6Addr addr;
     // CPU-model ingress backlog: one RX ring per CPU context (the NIC's RSS
-    // queues), sized with the context vector. RxRing slot storage is
-    // allocated once at rx_queue_limit and recycled in place — steady-state
-    // enqueue/drain never touches the allocator.
+    // queues), sized with the context vector. RxRing slot storage grows
+    // geometrically to the deepest backlog seen (never past rx_queue_limit)
+    // and is recycled in place — steady-state enqueue/drain never touches
+    // the allocator.
     std::vector<RxRing> rx_rings;
   };
 

@@ -4,14 +4,21 @@
 // The previous std::deque backlog allocated and freed a block every handful
 // of packets in steady state (push_back/pop_front churn walks the deque's
 // node map), which is exactly the per-packet allocator traffic the pooled
-// datapath eliminates. RxRing keeps a flat slot array sized to the node's
-// rx_queue_limit: storage is allocated once when the ring first fills (or
-// when the limit is raised — both warm-up events), and enqueue/drain in
-// steady state touch no allocator at all. Slots hold net::Packet by value;
-// a drained slot is left in the moved-from (buffer-less) state, so packet
-// buffers are never held by an idle ring.
+// datapath eliminates. RxRing keeps a flat slot array instead, sized to the
+// deepest backlog the ring has held: it doubles when a push finds every
+// slot occupied, never past the `limit` of that push, so a ring that never
+// holds more than one packet owns one slot, and one at rx_queue_limit owns
+// at most rx_queue_limit. Growth is a warm-up event; once a ring has held
+// depth d, enqueue/drain at depths <= d touch no allocator at all.
+//
+// When the ring drains, the head rewinds to slot 0, so a ring that is
+// mostly empty reuses the same (cache-hot) slot instead of walking the
+// whole array. Slots hold net::Packet by value; a drained slot is left in
+// the moved-from (buffer-less) state, so packet buffers are never held by
+// an idle ring.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -37,16 +44,20 @@ class RxRing {
  public:
   std::size_t size() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }
+  // Slots allocated so far: follows the deepest backlog held, never more
+  // than the largest `limit` any push ran under.
+  std::size_t capacity() const noexcept { return slots_.size(); }
 
   // Enqueues unless the ring already holds `limit` packets (tail drop —
-  // the caller counts it; overflows() counts it here too). Grows the slot
-  // array to `limit` on first use.
+  // the caller counts it; overflows() counts it here too). Doubles the slot
+  // array, up to `limit`, when every slot is occupied.
   bool push(net::Packet&& p, std::size_t limit) {
     if (count_ >= limit) {
       ++overflows_;
       return false;
     }
-    if (slots_.size() < limit) grow(limit);
+    if (count_ == slots_.size())
+      grow(std::min(std::max<std::size_t>(2 * slots_.size(), 1), limit));
     std::size_t pos = head_ + count_;
     if (pos >= slots_.size()) pos -= slots_.size();
     slots_[pos] = std::move(p);
@@ -59,7 +70,7 @@ class RxRing {
     net::Packet p = std::move(slots_[head_]);
     ++head_;
     if (head_ == slots_.size()) head_ = 0;
-    --count_;
+    if (--count_ == 0) head_ = 0;
     return p;
   }
 
@@ -83,8 +94,9 @@ class RxRing {
   std::uint64_t overflows() const noexcept { return overflows_; }
 
  private:
-  void grow(std::size_t limit) {
-    std::vector<net::Packet> grown(limit);
+  // Precondition: cap > count_. Unwraps the queue to start at slot 0.
+  void grow(std::size_t cap) {
+    std::vector<net::Packet> grown(cap);
     for (std::size_t i = 0; i < count_; ++i) {
       std::size_t pos = head_ + i;
       if (pos >= slots_.size()) pos -= slots_.size();

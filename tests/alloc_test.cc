@@ -12,8 +12,11 @@
 // FNV-golden pattern tests/mc_test.cc uses for the multi-core differential.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "sim/inline_fn.h"
 #include "sim/network.h"
 #include "sim/pdes_mailbox.h"
+#include "sim/pdes_topo.h"
 #include "sim/rx_ring.h"
 #include "usecases/programs.h"
 #include "util/alloc_hooks.h"
@@ -337,6 +341,118 @@ TEST(RxRing, FifoAcrossWraparoundAndLimit) {
   EXPECT_TRUE(model.empty());
 }
 
+// A seeded mix of push / pop / evict_oldest / flush under a limit that is
+// raised, lowered below the current depth and raised again, checked against
+// a std::deque model: order, admissions, overflow count and the slot
+// storage bound. Drains to empty (head rewinds) happen throughout.
+TEST(RxRing, RandomOperationsMatchDequeModelAcrossGrowthAndRewind) {
+  sim::RxRing ring;
+  std::deque<std::uint32_t> model;
+  Rng rng(0x41e6);
+  std::uint32_t next_seq = 0;
+  std::uint64_t overflows = 0;
+  std::size_t largest_limit = 0, drains = 0, lowered_below_depth = 0;
+  std::vector<std::size_t> capacities;  // each distinct value, in order
+  const std::size_t limits[] = {1, 8, 3, 40, 5, 200, 2, 64, 512, 17};
+  const std::size_t phases = std::size(limits);
+  for (std::size_t k = 0; k < phases; ++k) {
+    for (int op = 0; op < 4000; ++op) {
+      // Each phase fills toward its limit, then drains (and may flush)
+      // under the next phase's limit, which may sit below the depth.
+      const bool fill = op < 2000;
+      const std::size_t limit = limits[fill ? k : (k + 1) % phases];
+      largest_limit = std::max(largest_limit, limit);
+      if (op == 2000 && model.size() > limit) ++lowered_below_depth;
+      const std::uint64_t push_pct = fill ? 70 : 30;
+      const std::uint64_t dice = rng.uniform(0, 99);
+      if (dice < push_pct) {
+        net::Packet p;
+        const std::uint32_t seq = next_seq++;
+        p.seq = seq;
+        const bool admitted = ring.push(std::move(p), limit);
+        ASSERT_EQ(admitted, model.size() < limit) << "limit " << limit;
+        if (admitted)
+          model.push_back(seq);
+        else
+          ++overflows;
+      } else if (dice < 95) {
+        if (model.empty()) continue;
+        ASSERT_EQ(ring.pop().seq, model.front());
+        model.pop_front();
+        if (model.empty()) ++drains;
+      } else if (dice < 99 || fill) {
+        if (model.empty()) continue;
+        ASSERT_EQ(ring.evict_oldest().seq, model.front());
+        model.pop_front();
+        ++overflows;
+      } else {
+        ring.flush([&](net::Packet&& p) {
+          ASSERT_FALSE(model.empty());
+          EXPECT_EQ(p.seq, model.front());
+          model.pop_front();
+        });
+        ASSERT_TRUE(model.empty());
+      }
+      ASSERT_EQ(ring.size(), model.size());
+      ASSERT_LE(ring.capacity(), largest_limit);
+      if (capacities.empty() || capacities.back() != ring.capacity())
+        capacities.push_back(ring.capacity());
+    }
+  }
+  ring.flush([&](net::Packet&& p) {
+    ASSERT_FALSE(model.empty());
+    EXPECT_EQ(p.seq, model.front());
+    model.pop_front();
+  });
+  EXPECT_TRUE(model.empty());
+  EXPECT_EQ(ring.overflows(), overflows);
+  // The run must have exercised what it claims to: storage only grows, in
+  // at least nine steps up to the 512 limit, with many drain-to-empty
+  // rewinds along the way.
+  EXPECT_TRUE(std::is_sorted(capacities.begin(), capacities.end()));
+  EXPECT_GE(capacities.size(), 9u);
+  EXPECT_EQ(capacities.back(), 512u);
+  EXPECT_GT(drains, 100u);
+  EXPECT_GE(lowered_below_depth, 3u);
+}
+
+TEST(RxRing, CapacityFollowsTheDeepestBacklogNotTheLimit) {
+  sim::RxRing ring;
+  for (int i = 0; i < 1000; ++i) {  // bursts of one: one hot slot
+    ASSERT_TRUE(ring.push(net::Packet{}, 512));
+    ring.pop();
+  }
+  EXPECT_EQ(ring.capacity(), 1u);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.push(net::Packet{}, 512));
+  EXPECT_EQ(ring.capacity(), 8u);
+  // Growth stops at the limit of the push that triggers it.
+  sim::RxRing capped;
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(capped.push(net::Packet{}, 6));
+  EXPECT_FALSE(capped.push(net::Packet{}, 6));
+  EXPECT_EQ(capped.capacity(), 6u);
+}
+
+TEST(RxRing, WarmedToDepthAllocatesNothingAtOrBelowIt) {
+  ASSERT_TRUE(util::alloc_hooks_active())
+      << "alloc_test must be built with bench/alloc_hooks_impl.cc";
+  constexpr std::size_t kDepth = 37;
+  sim::RxRing ring;
+  for (std::size_t i = 0; i < kDepth; ++i)
+    ASSERT_TRUE(ring.push(net::Packet{}, 512));
+  while (!ring.empty()) ring.pop();
+
+  Rng rng(0xd3e9);
+  const util::AllocCounters before = util::alloc_counters();
+  for (int op = 0; op < 100000; ++op) {
+    if (ring.size() < kDepth && (ring.empty() || rng.chance(0.5)))
+      ring.push(net::Packet{}, 512);
+    else
+      ring.pop();
+  }
+  const util::AllocCounters after = util::alloc_counters();
+  EXPECT_EQ(after.news - before.news, 0u);
+}
+
 // ---- recycling correctness + the zero-allocation window ---------------------
 
 // FNV-1a over little-endian u64s + every delivered payload byte: arrival
@@ -494,6 +610,63 @@ TEST(ZeroAlloc, WarmedFig2WindowPerformsNoAllocations) {
   EXPECT_GT(window_pkts, 10000u) << "window must have moved real traffic";
   EXPECT_EQ(after.news - before.news, 0u)
       << "steady-state forwarding allocated on the heap ("
+      << (after.news - before.news) << " operator-new calls over "
+      << window_pkts << " delivered packets)";
+}
+
+// The 56-node ring sealed into its 8 PDES domains and run on one worker:
+// below router capacity, so every service event drains a burst of one and
+// every long-haul delivery crosses a mailbox. Lazy RX-ring growth, the
+// event slabs and the pools must all settle during warm-up.
+TEST(ZeroAlloc, WarmedRingWindowPerformsNoAllocations) {
+  ASSERT_TRUE(util::alloc_hooks_active())
+      << "alloc_test must be built with bench/alloc_hooks_impl.cc";
+  PoolGuard guard;
+  net::BufferPool::set_enabled(true);
+
+  sim::Network net(0x816);
+  const sim::RingTopoSpec spec;
+  sim::RingTopo topo = build_ring_topology(net, spec);
+  net.set_domain_count(spec.segments);
+  net.seal_domains();
+
+  std::uint64_t delivered = 0;
+  std::vector<std::unique_ptr<apps::AppMux>> muxes;
+  std::vector<std::unique_ptr<apps::TrafGen>> gens;
+  for (const sim::RingTopo::Segment& seg : topo.segments) {
+    muxes.push_back(std::make_unique<apps::AppMux>(*seg.sink));
+    muxes.back()->on_udp(
+        7001, [&delivered](const net::Packet&, const net::UdpHeader&,
+                           std::span<const std::uint8_t>,
+                           sim::TimeNs) { ++delivered; });
+    apps::TrafGen::Config cfg;
+    cfg.spec.src = seg.src_addr;
+    cfg.spec.dst = seg.dst_addr;
+    cfg.spec.payload_size = 64;
+    cfg.spec.dst_port = 7001;
+    cfg.pps = 450e3;
+    cfg.flow_label_spread = 16;
+    cfg.src_port_spread = 7;
+    cfg.duration = 60 * sim::kMilli;
+    gens.push_back(std::make_unique<apps::TrafGen>(*seg.src, cfg));
+    gens.back()->start();
+  }
+
+  net.run_parallel_for(20 * sim::kMilli, 1);
+  const std::uint64_t delivered0 = delivered;
+  const util::AllocCounters before = util::alloc_counters();
+  net.run_parallel_for(30 * sim::kMilli, 1);
+  const util::AllocCounters after = util::alloc_counters();
+  const std::uint64_t window_pkts = delivered - delivered0;
+
+  EXPECT_GT(window_pkts, 50000u) << "window must have moved real traffic";
+  sim::NodeStats routers;
+  for (const sim::RingTopo::Segment& seg : topo.segments)
+    for (const sim::Node* r : seg.routers) routers += r->stats();
+  EXPECT_EQ(routers.serviced_packets, routers.service_events)
+      << "the ring must run bursts of one";
+  EXPECT_EQ(after.news - before.news, 0u)
+      << "steady-state ring forwarding allocated on the heap ("
       << (after.news - before.news) << " operator-new calls over "
       << window_pkts << " delivered packets)";
 }

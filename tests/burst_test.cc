@@ -3,11 +3,18 @@
 // lookup) and — the heart of this file — burst-vs-sequential differential
 // tests: the fig2 (End.BPF on a Xeon router) and fig4-hybrid (WRR eBPF
 // encap on the Turris CPE) scenarios must deliver identical packet counts,
-// cumulative pipeline traces and final NodeStats at burst sizes {1, 8, 32}.
+// cumulative pipeline traces and final NodeStats at burst sizes {1, 8, 32};
+// a mixed scenario (forwards, ECMP, End, TTL, no-route, malformed, local)
+// must produce identical per-packet outcomes at burst sizes {1, 2, 3, 17,
+// 64}, which pins that no per-burst scratch slot is read before it is
+// written.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "apps/sink.h"
 #include "net/burst.h"
@@ -141,6 +148,9 @@ void expect_same(const RunResult& a, const RunResult& b, const char* what) {
   EXPECT_EQ(x.drops_verdict, y.drops_verdict);
   EXPECT_EQ(x.drops_malformed, y.drops_malformed);
   EXPECT_EQ(x.icmp_time_exceeded_sent, y.icmp_time_exceeded_sent);
+  EXPECT_EQ(x.serviced_packets, y.serviced_packets);
+  for (std::size_t k = 0; k < sim::kDropReasonCount; ++k)
+    EXPECT_EQ(x.first_drop_ns[k], y.first_drop_ns[k]) << "drop reason " << k;
   // The cumulative per-packet traces: what the pipeline actually did.
   EXPECT_TRUE(x.pipeline == y.pipeline);
 
@@ -324,6 +334,127 @@ TEST(BurstDifferential, HybridWrrIdenticalAcrossBurstSizes) {
 
   const RunResult again = run_hybrid_scenario(32);
   EXPECT_LT(again.router.service_events, 96u / 2);
+}
+
+// Every kind of per-packet fate in one clump, interleaved so that each
+// burst mixes them: S1 - R(Xeon) = S2, with two parallel R-S2 links.
+//   0 forward on a single-nexthop route      3 no route (dropped at R)
+//   1 forward on a two-leg ECMP route        4 addressed to R (local)
+//   2 hop limit 1 (dropped, ICMP to S1)      5 End SID on R, then forward
+//   6 malformed (not IPv6), injected straight into R's RX ring
+// Outcome per packet: which node's stack received which bytes. (Not when:
+// a link delivers a coalesced burst in one event, so a node without a CPU
+// model hands its packets up at the burst's last arrival. The burst-
+// invariant clocks are the first-drop timestamps expect_same compares.)
+using Outcome = std::pair<int, std::uint64_t>;
+
+struct MixedResult {
+  RunResult run;
+  std::vector<Outcome> outcomes;  // sorted
+};
+
+MixedResult run_mixed_scenario(std::size_t burst) {
+  sim::Network net(0x3150);
+  auto& s1 = net.add_node("S1");
+  auto& r = net.add_node("R");
+  auto& s2 = net.add_node("S2");
+  const auto a1 = A("fc00:1::1"), r0 = A("fc00:1::2");
+  const auto r1 = A("fc00:2::1"), a2 = A("fc00:2::2");
+  const auto r2 = A("fc00:3::1"), a3 = A("fc00:3::2");
+  const auto ecmp_dst = A("fc00:4::9"), sid = A("fc00:f::2");
+  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
+  auto l1 = net.connect(s1, a1, r, r0, kTenGig, 10 * sim::kMicro);
+  auto l2 = net.connect(r, r1, s2, a2, kTenGig, 10 * sim::kMicro);
+  auto l3 = net.connect(r, r2, s2, a3, kTenGig, 10 * sim::kMicro);
+  s1.ns().table(0).add_route(P("::/0"), {r0, l1.a_ifindex, 1});
+  r.ns().table(0).add_route(P("fc00:1::/64"), {net::Ipv6Addr{}, l1.b_ifindex, 1});
+  r.ns().table(0).add_route(P("fc00:2::/64"), {net::Ipv6Addr{}, l2.a_ifindex, 1});
+  r.ns().table(0).add_route(
+      {P("fc00:4::/64"), {{a2, l2.a_ifindex, 1}, {a3, l3.a_ifindex, 2}}});
+  s2.ns().table(0).add_route(P("::/0"), {r1, l2.b_ifindex, 1});
+  s2.ns().add_local_addr(ecmp_dst);
+  seg6::Seg6LocalEntry end;
+  end.action = seg6::Seg6Action::kEnd;
+  r.ns().seg6local().add(sid, end);
+
+  r.cpu.enabled = true;
+  r.cpu.profile = sim::kXeonProfile;
+  r.cpu.rx_burst = burst;
+
+  MixedResult res;
+  auto record = [&res](int node) {
+    return [&res, node](net::Packet&& p, sim::TimeNs) {
+      std::uint64_t fnv = 1469598103934665603ull;
+      for (const std::uint8_t x : p.bytes()) {
+        fnv ^= x;
+        fnv *= 1099511628211ull;
+      }
+      res.outcomes.emplace_back(node, fnv);
+    };
+  };
+  s1.set_local_handler(record(1));
+  r.set_local_handler(record(2));
+  s2.set_local_handler(record(3));
+
+  for (int i = 0; i < 210; ++i) {
+    const int kind = i % 7;
+    const sim::TimeNs at = static_cast<sim::TimeNs>(i) * 100;
+    if (kind == 6) {
+      std::vector<std::uint8_t> bad(48, static_cast<std::uint8_t>(i));
+      bad[0] = 0x45;  // IPv4 version nibble
+      net.loop().schedule_at(
+          at, [&r, in = l1.b_ifindex,
+               p = net::Packet{std::span<const std::uint8_t>(bad)}]() mutable {
+            r.receive_from_link(std::move(p), in);
+          });
+      continue;
+    }
+    net::PacketSpec spec;
+    spec.src = a1;
+    spec.dst = a2;
+    spec.src_port = static_cast<std::uint16_t>(9000 + i);
+    spec.payload_size = 32 + static_cast<std::size_t>(i % 5);
+    if (kind == 1) spec.dst = ecmp_dst;
+    if (kind == 2) spec.hop_limit = 1;
+    if (kind == 3) spec.dst = A("fd99::1");
+    if (kind == 4) spec.dst = r0;
+    if (kind == 5) spec.segments = {sid, a2};
+    net.loop().schedule_at(at, [&s1, p = net::make_udp_packet(spec)]() mutable {
+      s1.send(std::move(p));
+    });
+  }
+  net.run_for(sim::kSecond);
+
+  std::sort(res.outcomes.begin(), res.outcomes.end());
+  res.run.delivered = s2.stats().local_delivered;
+  res.run.router = r.stats();
+  res.run.sink_node = s2.stats();
+  return res;
+}
+
+TEST(BurstDifferential, MixedFatesIdenticalPerPacketAcrossBurstSizes) {
+  const MixedResult b1 = run_mixed_scenario(1);
+  const sim::NodeStats& x = b1.run.router;
+  EXPECT_EQ(x.rx_packets, 210u);
+  EXPECT_EQ(x.drops_ttl, 30u);
+  EXPECT_EQ(x.drops_no_route, 30u);
+  EXPECT_EQ(x.drops_malformed, 30u);
+  EXPECT_EQ(x.local_delivered, 30u);
+  EXPECT_EQ(x.icmp_time_exceeded_sent, 30u);
+  EXPECT_EQ(x.tx_packets, 90u + 30u);  // forwards + ICMP replies
+  EXPECT_EQ(b1.run.delivered, 90u);
+  EXPECT_EQ(b1.outcomes.size(), 30u + 30u + 90u);
+
+  for (const std::size_t burst : {2u, 3u, 17u, 64u}) {
+    const MixedResult bn = run_mixed_scenario(burst);
+    const std::string what = "burst " + std::to_string(burst) + " vs 1";
+    expect_same(b1.run, bn.run, what.c_str());
+    EXPECT_EQ(bn.run.router.drops_malformed, x.drops_malformed) << what;
+    EXPECT_TRUE(bn.outcomes == b1.outcomes) << what;
+    if (burst == 64) {  // bursts must actually form, or nothing is tested
+      EXPECT_LT(bn.run.router.service_events, 210u / 4);
+    }
+  }
 }
 
 // The WRR schedule itself (map counter state) must be order-preserving:

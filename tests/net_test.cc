@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 
 #include "net/checksum.h"
 #include "net/ip6.h"
@@ -53,6 +54,34 @@ TEST(Ipv6Addr, PrefixMatching) {
   EXPECT_FALSE(Ipv6Addr::must_parse("fc00:1234::1").in_prefix(p, 32));
   EXPECT_TRUE(Ipv6Addr::must_parse("aaaa::").in_prefix(p, 0));
   EXPECT_TRUE(p.in_prefix(p, 128));
+}
+
+// The shape of a node that owns a whole site range: sequential addresses
+// (one group varying), checked against std::set, with :: as a member.
+TEST(Ipv6AddrSet, MatchesStdSetOverSequentialAddresses) {
+  Ipv6AddrSet set;
+  std::set<Ipv6Addr> model;
+  EXPECT_FALSE(set.contains(Ipv6Addr{}));
+  for (int i = 0; i < 70000; i += 1 + i % 3) {
+    Ipv6Addr a = Ipv6Addr::must_parse("fc00:2::2");
+    a.set_group(2, static_cast<std::uint16_t>(i));
+    a.set_group(1, static_cast<std::uint16_t>(2 + (i >> 16)));
+    set.insert(a);
+    set.insert(a);  // duplicates are no-ops
+    model.insert(a);
+  }
+  EXPECT_FALSE(set.contains(Ipv6Addr{}));
+  set.insert(Ipv6Addr{});
+  model.insert(Ipv6Addr{});
+  for (int i = 0; i < 70000; ++i) {
+    Ipv6Addr a = Ipv6Addr::must_parse("fc00:2::2");
+    a.set_group(2, static_cast<std::uint16_t>(i));
+    a.set_group(1, static_cast<std::uint16_t>(2 + (i >> 16)));
+    EXPECT_EQ(set.contains(a), model.count(a) == 1) << a.to_string();
+    a.set_group(7, 3);
+    EXPECT_FALSE(set.contains(a)) << a.to_string();
+  }
+  EXPECT_TRUE(set.contains(Ipv6Addr{}));
 }
 
 TEST(Prefix, ParseForms) {

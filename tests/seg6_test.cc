@@ -12,6 +12,7 @@
 #include "seg6/seg6local.h"
 #include "ebpf/asm.h"
 #include "usecases/programs.h"
+#include "util/rng.h"
 
 namespace srv6bpf::seg6 {
 namespace {
@@ -75,6 +76,69 @@ TEST(Fib, EcmpRespectsWeights) {
     if (Fib::select_nexthop(*route, static_cast<std::uint32_t>(h)).oif == 1)
       ++first;
   EXPECT_NEAR(static_cast<double>(first) / kTrials, 0.75, 0.02);
+}
+
+// select_nexthop(route, pkt) hashes only when the route has a choice; it
+// must pick what select_nexthop(route, flow_hash(pkt)) picks on every
+// packet shape flow_hash walks — plain, SRH, IPv6-in-IPv6, truncated —
+// and every weight mix.
+TEST(Fib, PacketSelectionMatchesHashedSelection) {
+  Rng rng(0x5e1ec7);
+  auto random_addr = [&rng] {
+    std::array<std::uint8_t, 16> b;
+    for (std::uint8_t& x : b) x = static_cast<std::uint8_t>(rng.next_u32());
+    return net::Ipv6Addr(b);
+  };
+  auto random_packet = [&]() -> net::Packet {
+    net::PacketSpec spec;
+    spec.src = random_addr();
+    spec.dst = random_addr();
+    spec.src_port = static_cast<std::uint16_t>(rng.next_u32());
+    spec.dst_port = static_cast<std::uint16_t>(rng.next_u32());
+    spec.payload_size = rng.uniform(0, 64);
+    const std::uint64_t shape = rng.uniform(0, 3);
+    if (shape == 1) spec.segments = {random_addr(), random_addr(), spec.dst};
+    net::Packet p = net::make_udp_packet(spec);
+    if (shape == 2) {  // IPv6-in-IPv6, no SRH
+      net::Ipv6Header outer;
+      outer.src = random_addr();
+      outer.dst = random_addr();
+      outer.next_header = net::kProtoIpv6;
+      outer.payload_length = static_cast<std::uint16_t>(p.size());
+      outer.write(p.push_front(net::kIpv6HeaderSize));
+    }
+    if (shape == 3) {  // truncated anywhere, down to zero bytes
+      const std::size_t keep = rng.uniform(0, p.size() - 1);
+      return net::Packet{std::span<const std::uint8_t>(p.data(), keep)};
+    }
+    return p;
+  };
+
+  for (int trial = 0; trial < 3000; ++trial) {
+    Route r;
+    r.prefix = P("fc00::/16");
+    const std::uint64_t legs = rng.uniform(1, 3);
+    for (std::uint64_t k = 0; k < legs; ++k)
+      r.nexthops.push_back({random_addr(), static_cast<int>(k),
+                            static_cast<int>(rng.uniform(1, 5))});
+    const net::Packet p = random_packet();
+    const Nexthop& got = Fib::select_nexthop(r, p);
+    EXPECT_EQ(&got, &Fib::select_nexthop(r, flow_hash(p)))
+        << "trial " << trial << ", " << legs << " nexthops, "
+        << p.size() << " bytes";
+  }
+}
+
+TEST(Fib, SingleNexthopRouteNeedsNoParsablePacket) {
+  Route r;
+  r.prefix = P("fc00::/16");
+  r.nexthops = {{A("fe80::1"), 4, 3}};
+  const std::uint8_t stub[] = {0x60, 0, 0};
+  for (const net::Packet& p :
+       {net::Packet{}, net::Packet{std::span<const std::uint8_t>(stub)}}) {
+    ASSERT_LT(p.size(), net::kIpv6HeaderSize);
+    EXPECT_EQ(&Fib::select_nexthop(r, p), &r.nexthops[0]);
+  }
 }
 
 TEST(FlowHash, StablePerFlowAndSpreadsAcrossFlows) {
