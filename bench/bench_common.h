@@ -37,19 +37,6 @@ struct Setup1 {
   std::unique_ptr<apps::TrafGen> gen;
   int r_upstream_if = 0;
   int r_downstream_if = 0;
-  // Vector-pipeline knobs: R's per-service-event drain budget and the
-  // generator's packets-per-tick. Simulated rates are burst-invariant (the
-  // differential test enforces it); these only trade simulator wall-clock,
-  // which bench_burst_sweep measures.
-  std::size_t rx_burst = sim::kDefaultRxBurst;
-  std::size_t gen_burst = 1;
-  // Multi-core knobs: R's RSS context count, and how many flow labels the
-  // generator cycles through (the RSS steering tuple is src/dst/flow label,
-  // so flows > 1 is what spreads the offered load across R's contexts).
-  // Unlike burst, ncpus changes *simulated* capacity: bench_mc_sweep
-  // measures the forwarding-rate scaling it buys.
-  std::size_t ncpus = 1;
-  std::uint32_t flows = 1;
 
   Setup1() {
     s1 = &net.add_node("S1");
@@ -80,8 +67,6 @@ struct Setup1 {
   // Offers `pps` of 64-byte-payload UDP (with or without an SRH through the
   // SID on R) for `duration`, then reports the sink's receive rate in kpps.
   double measure(bool through_sid, double pps, sim::TimeNs duration) {
-    r->cpu.rx_burst = rx_burst;
-    r->cpu.ncpus = ncpus;
     apps::TrafGen::Config cfg;
     cfg.spec.src = s1_addr;
     cfg.spec.dst = s2_addr;
@@ -89,8 +74,6 @@ struct Setup1 {
     cfg.spec.payload_size = 64;
     cfg.spec.dst_port = 7001;
     cfg.pps = pps;
-    cfg.burst = gen_burst;
-    cfg.flow_label_spread = flows;
     cfg.start_at = net.now();
     cfg.duration = duration + 50 * sim::kMilli;
     gen = std::make_unique<apps::TrafGen>(*s1, cfg);

@@ -55,7 +55,7 @@ int main() {
       "Tag++ ~ -3% and Add-TLV ~ -5% vs End-BPF; no-JIT divides Add-TLV by "
       "~1.8");
   std::printf("(vector datapath: R drains bursts of %zu per service event; "
-              "rates are burst-invariant, see bench_burst_sweep)\n",
+              "rates are burst-invariant, see tests/burst_test.cc)\n",
               sim::kDefaultRxBurst);
 
   std::vector<Row> rows;

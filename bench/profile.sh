@@ -10,7 +10,7 @@
 #   ARGS    forwarded to the binary
 #
 # Wired into CMake as `cmake --build build --target profile_fig2` (also
-# profile_fig3, profile_hotpath). Skips gracefully — exit 0 with a note —
+# profile_fig3). Skips gracefully — exit 0 with a note —
 # when perf is missing or the kernel forbids profiling, so CI and
 # perf-less containers never fail on it.
 set -eu

@@ -4,8 +4,8 @@
 // executions — the decode-every-step reference oracle (the baseline), the
 // pre-decoded threaded interpreter (JIT off) and native x86-64 code (JIT
 // on) — on the paper's §3.2 seg6local programs plus a 512-insn ALU chain,
-// with results written to BENCH_vm.json so the perf trajectory is
-// machine-trackable across PRs. On hosts without native support the native
+// with results written to BENCH_vm.json. The ratios are host wall-clock,
+// so they are printed, not gated. On hosts without native support the native
 // column falls back to the interpreter (and its geomean metric will reflect
 // ~1x). "Engine-only" means the ExecEnv/ctx are
 // built once and the timed loop contains only the VM run (plus a packet
@@ -200,7 +200,7 @@ void emit_json(const std::vector<Row>& rows, double geomean_pre,
   std::fprintf(f,
                "  \"sec32_geomean_speedup_native_vs_predecoded\": %.2f,\n",
                geomean_native);
-  // Emitted-code quality floor: on the compute-bound chain the engine is the
+  // Emitted-code quality: on the compute-bound chain the engine is the
   // whole cost, so this ratio tracks the JIT itself rather than shared
   // helper/harness time (which caps the §3.2 rows near the paper's ~1.8x).
   std::fprintf(f, "  \"alu512_speedup_native_vs_predecoded\": %.2f\n",

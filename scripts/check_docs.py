@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Docs presence + link check, run by CI and usable locally.
 
-Verifies that the entry-point docs exist (README.md, ARCHITECTURE.md) and
-that every *relative* markdown link in the repo's tracked .md files resolves
-to a real file or directory. External links (http/https/mailto) and
+Verifies that the entry-point docs exist (README.md, ARCHITECTURE.md, the
+bench and perfbench READMEs) and that every *relative* markdown link in the
+repo's tracked .md files resolves to a real file or directory. External links (http/https/mailto) and
 intra-page anchors are ignored; an anchor suffix on a relative link
 (FILE.md#section) is checked for the file part only.
 
@@ -14,7 +14,8 @@ import os
 import re
 import sys
 
-REQUIRED = ["README.md", "ARCHITECTURE.md", "ROADMAP.md", "bench/README.md"]
+REQUIRED = ["README.md", "ARCHITECTURE.md", "ROADMAP.md", "bench/README.md",
+            "perfbench/README.md"]
 
 # Retrieved reference material (paper scrape, related-work dump) — not ours;
 # may carry links into assets that were never part of this repo.

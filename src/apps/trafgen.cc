@@ -12,8 +12,8 @@ TrafGen::TrafGen(sim::Node& node, Config cfg)
       interval_ns_(static_cast<sim::TimeNs>(1e9 / cfg.pps)),
       dst_site_base_(load_be16(t_template_.data() + 24 + 4)) {
   if (interval_ns_ == 0) interval_ns_ = 1;
-  // One header-chain walk at construction; every stamped (or rebuilt —
-  // same spec, same layout) packet reuses these offsets.
+  // One header-chain walk at construction; every stamped packet reuses
+  // these offsets.
   if (const auto loc = net::locate_transport(t_template_);
       loc && loc->proto == net::kProtoUdp) {
     udp_off_ = loc->offset;
@@ -46,10 +46,8 @@ void fixup_checksum(std::uint8_t* ck, std::uint16_t old_word,
 
 net::Packet TrafGen::next_packet() {
   // Stamp: pooled-buffer copy of the prebuilt frame (one freelist pop plus
-  // one memcpy — no heap once the pool is warm). The baseline path
-  // re-serialises the whole frame from the spec instead.
-  net::Packet pkt =
-      cfg_.use_template ? t_template_ : net::make_udp_packet(cfg_.spec);
+  // one memcpy — no heap once the pool is warm).
+  net::Packet pkt = t_template_;
   pkt.seq = static_cast<std::uint32_t>(sent_);
   if (cfg_.flow_label_spread > 1) {
     // Rotate the outer flow label in place (bytes 1-3 of the fixed header;

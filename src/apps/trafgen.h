@@ -8,9 +8,8 @@
 // covered), at cached byte offsets — the header chain is walked once, not
 // per packet. That is how trafgen/pktgen themselves reach line rate, and it
 // is what keeps the generator inside the simulator's zero-allocation steady
-// state. Config::use_template = false switches to rebuilding every packet
-// from the PacketSpec (the pre-pool behaviour), kept as the honest baseline
-// for bench_hotpath; both paths emit bit-identical packets.
+// state. Each stamped packet is byte-identical to net::make_udp_packet of
+// the spec with the varied fields set (tests/alloc_test.cc checks it).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +41,7 @@ class TrafGen {
     // cycled through address bytes 4-5 (the third group), so consecutive
     // packets hit `dst_spread` different /48 sites — multi-destination
     // traffic that defeats any one-entry route cache and drives the router's
-    // FIB trie on every burst group (bench/lpm_sweep's end-to-end knob).
+    // FIB trie on every burst group.
     // When the packet carries no SRH the UDP checksum is incrementally
     // fixed up (the final destination is in the pseudo-header); with an SRH
     // the outer dst is the first segment and needs no fixup — but rotating
@@ -51,16 +50,9 @@ class TrafGen {
     // Packets emitted per tick through Node::send_burst (capped at
     // net::kMaxBurstPackets). 1 = one event per packet, exact pps spacing;
     // >1 trades intra-burst arrival spacing (packets leave back-to-back at
-    // the tick) for far fewer simulator events — the burst_sweep benchmark's
-    // source-side knob. The average offered rate is preserved.
+    // the tick) for far fewer simulator events. The average offered rate is
+    // preserved.
     std::size_t burst = 1;
-    // Template stamping (default): copy the prebuilt frame into a pooled
-    // buffer and patch the varying fields at cached offsets. false =
-    // rebuild every packet from `spec` via make_udp_packet (fresh buffer,
-    // SRH re-serialised, checksum recomputed) — the allocation-per-packet
-    // baseline bench_hotpath measures the pooled path against. Emitted
-    // bytes are identical either way (tests/alloc_test.cc asserts it).
-    bool use_template = true;
   };
 
   TrafGen(sim::Node& node, Config cfg);

@@ -19,10 +19,10 @@
 // Both pools are process-wide singletons (the simulator is single-threaded;
 // nothing here locks) and share one enable switch: set_enabled(false)
 // degrades acquire/release to plain new/delete — the "no-pool baseline" that
-// bench_hotpath and the recycling-correctness test compare against. Pooling
-// is wall-clock-only by construction: buffer identity never feeds timing,
-// hashing or byte content, so pooled and unpooled runs are bit-identical
-// (tests/alloc_test.cc enforces it with FNV delivery digests).
+// the recycling-correctness test compares against. Pooling is wall-clock-only
+// by construction: buffer identity never feeds timing, hashing or byte
+// content, so pooled and unpooled runs are bit-identical (tests/alloc_test.cc
+// enforces it with FNV delivery digests).
 #pragma once
 
 #include <cstddef>
@@ -66,7 +66,7 @@ class BufferPool {
   static void release(Buf* b) noexcept;
 
   // One switch for BufferPool and BurstPool both. Disabled = plain
-  // new/delete per acquire/release: the bench baseline.
+  // new/delete per acquire/release: the test baseline.
   static void set_enabled(bool on) noexcept;
   static bool enabled() noexcept;
 

@@ -23,7 +23,7 @@ namespace srv6bpf::net {
 
 // Hard capacity of a burst. The runtime drain budget (Node::Cpu::rx_burst)
 // may be anything up to this; 64 matches the largest NAPI poll budget the
-// burst_sweep benchmark explores.
+// burst-invariance tests exercise.
 inline constexpr std::size_t kMaxBurstPackets = 64;
 
 // Per-packet fate, assigned stage by stage.

@@ -3,7 +3,7 @@
 // Longest-prefix-match is backed by the shared multibit-stride trie engine
 // (util/lpm_trie.h) — the same engine behind BPF_MAP_TYPE_LPM_TRIE — storing
 // route indices as values: a /48 lookup is 6 byte-indexed node hops instead
-// of 48 bit tests (bench/lpm_sweep.cc tracks the ratio). Nexthop selection
+// of 48 bit tests. Nexthop selection
 // for multipath routes uses a 5-tuple flow hash, like the kernel's
 // flowlabel/5-tuple ECMP (§4.3's End.OAMP queries these nexthops); a
 // single-nexthop route has no choice to make and is never hashed.
@@ -55,7 +55,7 @@ struct LwtState {
 // Because everything is computed at route-install time, activation is pure
 // datapath — no control-plane round trip, which is the whole point: the
 // blackhole lasts one forwarding decision instead of an IGP convergence
-// (bench/slo_soak.cc measures both).
+// (tests/slo_test.cc's SloSoak tests bound both).
 struct FrrBackup {
   std::vector<net::Ipv6Addr> segments;  // repair segment list, travel order
   Nexthop nh;  // backup End.X adjacency; oif < 0 = re-run the FIB lookup on

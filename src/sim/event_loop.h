@@ -15,8 +15,8 @@
 // in place is safe when the closure schedules more events, because chunks
 // never move. Nothing heap-allocates once the slab, the heap vector and the
 // free list have grown to the pending high-water mark, which is what keeps
-// the steady-state forwarding path allocation-free (bench_hotpath gates
-// allocs-per-packet at zero).
+// the steady-state forwarding path allocation-free (the ZeroAlloc tests
+// gate allocs-per-packet at zero).
 //
 // Ordering contract. Events execute in ascending (t, key, birth) order where
 // `birth` is the event's provenance stamp: the scheduling loop's clock at

@@ -1,6 +1,6 @@
-// Generated multi-domain topology for parallel-simulation tests and the
-// bench_pdes_sweep gate: a ring of `segments` independent forwarding chains,
-// one PDES domain per segment.
+// Generated multi-domain topology for the parallel-simulation tests and the
+// ring_pdes benchmark workload: a ring of `segments` independent forwarding
+// chains, one PDES domain per segment.
 //
 //   segment s:  src_s -> r_s_0 -> ... -> r_s_{R-1} ==cross==> sink_{s+1}
 //

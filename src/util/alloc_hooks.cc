@@ -1,7 +1,7 @@
 #include "util/alloc_hooks.h"
 
 // Weak fallbacks: the no-op half of the alloc_hooks contract. A binary that
-// also compiles bench/alloc_hooks_impl.cc gets that TU's strong definitions
+// also compiles tests/alloc_hooks_impl.cc gets that TU's strong definitions
 // (plus the counting operator new/delete replacements) instead; everything
 // else links these and pays nothing.
 

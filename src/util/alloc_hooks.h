@@ -1,10 +1,10 @@
-// alloc_hooks: a global operator-new/delete call counter for bench and test
-// builds — how bench_hotpath and tests/alloc_test.cc *prove* the forwarding
+// alloc_hooks: a global operator-new/delete call counter for test builds —
+// how tests/alloc_test.cc and tests/slo_test.cc *prove* the forwarding
 // path's zero-allocation steady state instead of asserting it.
 //
 // The library ships only weak, inactive stubs (alloc_hooks.cc): linking the
 // core library never changes allocator behaviour. Binaries that want real
-// counting additionally compile bench/alloc_hooks_impl.cc, whose strong
+// counting additionally compile tests/alloc_hooks_impl.cc, whose strong
 // definitions override the stubs and install counting replacements of the
 // global operator new/delete family. Callers must therefore check
 // alloc_hooks_active() before trusting the counters.
@@ -23,7 +23,7 @@ struct AllocCounters {
   std::uint64_t deletes = 0;  // operator delete / delete[] calls
 };
 
-// true when bench/alloc_hooks_impl.cc is linked into this binary.
+// true when tests/alloc_hooks_impl.cc is linked into this binary.
 bool alloc_hooks_active() noexcept;
 // Monotonic since process start; {0, 0} when the hooks are inactive.
 AllocCounters alloc_counters() noexcept;

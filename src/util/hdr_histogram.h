@@ -10,7 +10,7 @@
 // recording is an index computation plus an increment — no allocation, no
 // rehashing, no data-dependent branches beyond the bit scan — so the
 // histogram can sit on the per-packet delivery path of the zero-allocation
-// steady state (bench_slo_soak gates this).
+// steady state (tests/slo_test.cc gates this).
 //
 // Histograms merge with operator+= exactly like sim::NodeStats shards:
 // bucket-wise sums plus min/max/total folds. Merging is associative and

@@ -1,7 +1,7 @@
 // Strong half of util/alloc_hooks: counting replacements for the global
-// operator new/delete family. Compiled ONLY into binaries that measure
-// allocator traffic (bench_hotpath, tests/alloc_test) — the core library
-// and every other target keep the system allocator untouched.
+// operator new/delete family. Compiled ONLY into the test binaries that
+// measure allocator traffic (alloc_test, slo_test) — the core library and
+// every other target keep the system allocator untouched.
 //
 // The replacements defer to malloc/free, so behaviour is unchanged except
 // for two relaxed atomic increments per call; the counters are monotonic

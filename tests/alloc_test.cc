@@ -1,23 +1,28 @@
-// The zero-allocation steady state (ISSUE 5): BufferPool/BurstPool
-// recycling, InlineFn event closures (built once in the EventLoop slab, never
-// relocated, destroyed once — also on teardown), RxRing backlogs and
-// template-stamped generation.
+// The zero-allocation steady state: BufferPool/BurstPool recycling, InlineFn
+// event closures (built once in the EventLoop slab, never relocated,
+// destroyed once — also on teardown), RxRing backlogs and template-stamped
+// generation.
 //
-// This binary compiles bench/alloc_hooks_impl.cc, so the global operator
+// This binary compiles tests/alloc_hooks_impl.cc, so the global operator
 // new/delete are the counting replacements — the allocation-regression test
 // measures the real thing, not a model. The recycling-correctness tests pin
 // the other half of the contract: pooling is wall-clock-only, so pooled,
-// recycled-buffer and pool-disabled runs (and template-stamped vs rebuilt
-// generator packets) produce bit-identical delivery digests, the same
-// FNV-golden pattern tests/mc_test.cc uses for the multi-core differential.
+// recycled-buffer and pool-disabled runs produce bit-identical delivery
+// digests, the same FNV-golden pattern tests/mc_test.cc uses for the
+// multi-core differential. TrafGen's template stamping is checked byte for
+// byte against net::make_udp_packet of each packet's own spec. The
+// saturation gates assert the §3.2 lab's forwarding-rate floors in the same
+// warmed windows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <iterator>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,6 +38,8 @@
 #include "sim/rx_ring.h"
 #include "usecases/programs.h"
 #include "util/alloc_hooks.h"
+
+#include "saturation_lab.h"
 
 namespace srv6bpf {
 namespace {
@@ -518,7 +525,7 @@ struct Fig2Lab {
     });
   }
 
-  apps::TrafGen::Config gen_config(bool use_template) const {
+  apps::TrafGen::Config gen_config() const {
     apps::TrafGen::Config cfg;
     cfg.spec.src = A("fc00:1::1");
     cfg.spec.dst = A("fc00:2::2");
@@ -529,7 +536,6 @@ struct Fig2Lab {
     cfg.src_port_spread = 7;
     cfg.flow_label_spread = 4;
     cfg.duration = 10 * sim::kMilli;
-    cfg.use_template = use_template;
     return cfg;
   }
 };
@@ -539,10 +545,10 @@ struct Fig2Result {
   sim::NodeStats router;
 };
 
-Fig2Result run_fig2(bool pooled, bool use_template) {
+Fig2Result run_fig2(bool pooled) {
   net::BufferPool::set_enabled(pooled);
   Fig2Lab lab;
-  apps::TrafGen gen(lab.s1, lab.gen_config(use_template));
+  apps::TrafGen gen(lab.s1, lab.gen_config());
   gen.start();
   lab.net.run_for(sim::kSecond);
   return {lab.dig, lab.r.stats()};
@@ -552,20 +558,20 @@ TEST(Recycling, PooledRecycledAndDisabledRunsAreBitIdentical) {
   PoolGuard guard;
   net::BufferPool::trim();
 
-  const Fig2Result pooled = run_fig2(/*pooled=*/true, /*use_template=*/true);
+  const Fig2Result pooled = run_fig2(/*pooled=*/true);
   ASSERT_GT(pooled.dig.delivered, 1000u);
   EXPECT_GT(pooled.router.drops_rx_queue, 0u) << "scenario must saturate R";
 
   // Second pooled run: every buffer comes off the freelist populated with
   // the previous run's bytes — recycling must not leak any of them.
   EXPECT_GT(net::BufferPool::stats().pooled, 0u);
-  const Fig2Result recycled = run_fig2(/*pooled=*/true, /*use_template=*/true);
+  const Fig2Result recycled = run_fig2(/*pooled=*/true);
   EXPECT_EQ(recycled.dig.fnv, pooled.dig.fnv);
   EXPECT_EQ(recycled.dig.delivered, pooled.dig.delivered);
 
   // Pool disabled: acquire/release degrade to new/delete; the simulation
   // must not notice.
-  const Fig2Result heap = run_fig2(/*pooled=*/false, /*use_template=*/true);
+  const Fig2Result heap = run_fig2(/*pooled=*/false);
   EXPECT_EQ(heap.dig.fnv, pooled.dig.fnv);
   EXPECT_EQ(heap.dig.delivered, pooled.dig.delivered);
   EXPECT_EQ(heap.router.service_events, pooled.router.service_events);
@@ -573,16 +579,91 @@ TEST(Recycling, PooledRecycledAndDisabledRunsAreBitIdentical) {
   EXPECT_TRUE(heap.router.pipeline == pooled.router.pipeline);
 }
 
-TEST(Recycling, TemplateStampedPacketsMatchRebuiltPackets) {
-  PoolGuard guard;
-  // The generator's two paths — pooled template stamp vs per-packet
-  // make_udp_packet rebuild — must emit bit-identical traffic (the digest
-  // covers every delivered byte, ports, labels and checksums included).
-  const Fig2Result stamped = run_fig2(/*pooled=*/true, /*use_template=*/true);
-  const Fig2Result rebuilt = run_fig2(/*pooled=*/true, /*use_template=*/false);
-  ASSERT_GT(stamped.dig.delivered, 1000u);
-  EXPECT_EQ(stamped.dig.fnv, rebuilt.dig.fnv);
-  EXPECT_EQ(stamped.dig.delivered, rebuilt.dig.delivered);
+// ---- template stamping vs an independent oracle ------------------------------
+
+// Runs `cfg` on a lone node that owns every destination the generator can
+// emit to, so each packet loops straight back to the local handler exactly
+// as stamped, and returns the first `n` packets' bytes and seqs.
+struct Emitted {
+  std::vector<std::vector<std::uint8_t>> bytes;
+  std::vector<std::uint32_t> seqs;
+};
+
+Emitted capture_trafgen(apps::TrafGen::Config cfg,
+                        const std::vector<net::Ipv6Addr>& local,
+                        std::size_t n) {
+  sim::Network net(0x57a3);
+  sim::Node& g = net.add_node("G");
+  for (const net::Ipv6Addr& a : local) g.ns().add_local_addr(a);
+  Emitted out;
+  g.set_local_handler([&out](net::Packet&& pkt, sim::TimeNs) {
+    out.bytes.emplace_back(pkt.bytes().begin(), pkt.bytes().end());
+    out.seqs.push_back(pkt.seq);
+  });
+  cfg.pps = 1e6;
+  cfg.duration = static_cast<sim::TimeNs>(n) * sim::kMicro;
+  apps::TrafGen gen(g, cfg);
+  gen.start();
+  net.run_for(cfg.duration + sim::kMilli);
+  EXPECT_EQ(out.bytes.size(), n);
+  return out;
+}
+
+// The spec TrafGen's packet `i` must equal: the base spec with every spread
+// field set to its i-th value, built from scratch by make_udp_packet (SRH
+// serialised and UDP checksum computed over the final destination).
+net::PacketSpec spec_of_packet(const apps::TrafGen::Config& cfg,
+                               std::uint32_t i) {
+  net::PacketSpec s = cfg.spec;
+  s.flow_label = (cfg.spec.flow_label + i % cfg.flow_label_spread) & 0xfffffu;
+  s.src_port =
+      static_cast<std::uint16_t>(cfg.spec.src_port + i % cfg.src_port_spread);
+  std::array<std::uint8_t, 16> dst = cfg.spec.dst.bytes();
+  const std::uint16_t site =
+      static_cast<std::uint16_t>(((dst[4] << 8) | dst[5]) + i % cfg.dst_spread);
+  dst[4] = static_cast<std::uint8_t>(site >> 8);
+  dst[5] = static_cast<std::uint8_t>(site & 0xff);
+  s.dst = net::Ipv6Addr(dst);
+  return s;
+}
+
+void expect_stamps_match_oracle(const apps::TrafGen::Config& cfg,
+                                const std::vector<net::Ipv6Addr>& local) {
+  constexpr std::size_t kPackets = 64;
+  const Emitted got = capture_trafgen(cfg, local, kPackets);
+  for (std::size_t i = 0; i < got.bytes.size(); ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    const net::Packet want =
+        net::make_udp_packet(spec_of_packet(cfg, static_cast<std::uint32_t>(i)));
+    EXPECT_EQ(got.seqs[i], i);
+    EXPECT_TRUE(std::ranges::equal(got.bytes[i], want.bytes()));
+  }
+}
+
+TEST(TrafGenStamp, RotatedFlowLabelAndSrcPortWithSrhMatchMakeUdpPacket) {
+  apps::TrafGen::Config cfg;
+  cfg.spec.src = A("fc00:1::1");
+  cfg.spec.dst = A("fc00:2::2");
+  cfg.spec.segments = {A("fc00:f::1"), A("fc00:2::2")};
+  cfg.spec.flow_label = 0xffffd;  // the rotation wraps the 20-bit field
+  cfg.spec.src_port = 9000;
+  cfg.spec.payload_size = 64;
+  cfg.flow_label_spread = 5;
+  cfg.src_port_spread = 7;
+  expect_stamps_match_oracle(cfg, {A("fc00:f::1"), A("fc00:2::2")});
+}
+
+TEST(TrafGenStamp, DstSpreadWithoutSrhMatchesMakeUdpPacket) {
+  apps::TrafGen::Config cfg;
+  cfg.spec.src = A("fc00:1::1");
+  cfg.spec.dst = A("2001:db8:fffc::2");  // the site counter wraps 0xffff
+  cfg.spec.payload_size = 64;
+  cfg.dst_spread = 9;
+  cfg.src_port_spread = 3;
+  std::vector<net::Ipv6Addr> local;
+  for (std::uint32_t i = 0; i < cfg.dst_spread; ++i)
+    local.push_back(spec_of_packet(cfg, i).dst);
+  expect_stamps_match_oracle(cfg, local);
 }
 
 TEST(ZeroAlloc, WarmedFig2WindowPerformsNoAllocations) {
@@ -592,7 +673,7 @@ TEST(ZeroAlloc, WarmedFig2WindowPerformsNoAllocations) {
   net::BufferPool::set_enabled(true);
 
   Fig2Lab lab;
-  apps::TrafGen::Config cfg = lab.gen_config(/*use_template=*/true);
+  apps::TrafGen::Config cfg = lab.gen_config();
   cfg.pps = 3e6;  // the paper's offered load: saturation + rx-queue drops
   cfg.duration = 60 * sim::kMilli;
   apps::TrafGen gen(lab.s1, cfg);
@@ -669,6 +750,56 @@ TEST(ZeroAlloc, WarmedRingWindowPerformsNoAllocations) {
       << "steady-state ring forwarding allocated on the heap ("
       << (after.news - before.news) << " operator-new calls over "
       << window_pkts << " delivered packets)";
+}
+
+// ---- §3.2 saturation gates ---------------------------------------------------
+
+// Measures `cfg` in the saturation lab over a 50 ms window and returns the
+// sink rate; `allocs` receives the operator-new calls inside the window.
+double saturated_kpps(testlab::SaturationLab& lab,
+                      const apps::TrafGen::Config& cfg,
+                      std::uint64_t* allocs) {
+  const sim::TimeNs window = 50 * sim::kMilli;
+  lab.warm_up(cfg, window);
+  const util::AllocCounters before = util::alloc_counters();
+  const double kpps = lab.run_window(window);
+  *allocs = util::alloc_counters().news - before.news;
+  return kpps;
+}
+
+// One Xeon core running the paper's End program as End.BPF: the sink rate
+// stays at or above 500 kpps, and the warmed window allocates nothing.
+TEST(SaturationGate, Fig2EndBpfForwardsAtLeast500KppsWithoutAllocating) {
+  ASSERT_TRUE(util::alloc_hooks_active());
+  PoolGuard guard;
+  net::BufferPool::set_enabled(true);
+  testlab::SaturationLab lab;
+  lab.add_end_bpf();
+  std::uint64_t allocs = 0;
+  const double kpps = saturated_kpps(lab, lab.offer(/*through_sid=*/true),
+                                     &allocs);
+  EXPECT_GE(kpps, 500.0);
+  EXPECT_EQ(allocs, 0u);
+}
+
+// 2048 /48 routes at R and destinations cycling every site, so the LPM trie
+// answers every lookup: at least 550 kpps, and no allocation in the window.
+TEST(SaturationGate, Fig2Fib48ForwardsAtLeast550KppsWithoutAllocating) {
+  ASSERT_TRUE(util::alloc_hooks_active());
+  PoolGuard guard;
+  net::BufferPool::set_enabled(true);
+  constexpr std::size_t kRoutes = 2048;
+  testlab::SaturationLab lab;
+  lab.add_fib48(kRoutes);
+  apps::TrafGen::Config cfg = lab.offer(/*through_sid=*/false);
+  cfg.spec.dst = A("2001:db8::2");
+  cfg.dst_spread = kRoutes;
+  std::uint64_t allocs = 0;
+  const double kpps = saturated_kpps(lab, cfg, &allocs);
+  EXPECT_GE(kpps, 550.0);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(lab.r.ns().table(0).cache_hits(), 0u)
+      << "the trie, not the route cache, must answer";
 }
 
 TEST(ZeroAlloc, EventLoopSlabGrowsOnlyDuringWarmUp) {

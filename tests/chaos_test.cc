@@ -23,13 +23,18 @@
 //     arrival, kDropOldest evicts the head to admit it, both charge
 //     drops_rx_queue and count ring overflows;
 //   - the BufferPool admission cap and the per-reason first-drop timestamps
-//     that make exhaustion debuggable.
+//     that make exhaustion debuggable;
+//   - the chaos soak: the 56-node PDES ring under corruption, flaps and
+//     crashes replays bit for bit at 1 and 8 worker threads, keeps a
+//     balanced ledger and most of its goodput, and a capped pool turns
+//     overload into accounted source-side drops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "apps/sink.h"
@@ -42,6 +47,7 @@
 #include "sim/fault_injector.h"
 #include "sim/invariant_auditor.h"
 #include "sim/network.h"
+#include "sim/pdes_topo.h"
 #include "util/rng.h"
 
 namespace srv6bpf {
@@ -587,6 +593,221 @@ TEST(InvariantAuditor, StuckClockViolates) {
   auditor.audit(100);  // no progress between audits
   ASSERT_EQ(auditor.violations().size(), 1u);
   EXPECT_NE(auditor.violations()[0].find("clock"), std::string::npos);
+}
+
+// ---- chaos soak: the 56-node ring under faults ---------------------------------
+
+// Every distinct link in the topology, discovered through the nodes'
+// interfaces (RingTopo records only the cross links).
+std::vector<sim::Link*> collect_links(const sim::RingTopo& topo) {
+  std::vector<sim::Link*> links;
+  auto add_node_links = [&links](sim::Node* n) {
+    for (std::size_t i = 0; i < n->interface_count(); ++i) {
+      sim::Link* l = n->interface_link(static_cast<int>(i));
+      if (l != nullptr && std::find(links.begin(), links.end(), l) == links.end())
+        links.push_back(l);
+    }
+  };
+  for (const auto& seg : topo.segments) {
+    add_node_links(seg.src);
+    for (sim::Node* r : seg.routers) add_node_links(r);
+    add_node_links(seg.sink);
+  }
+  return links;
+}
+
+// The fault schedule for one run, a pure function of (rate, window):
+// per-packet bit corruption on every segment's first hop and cross link, a
+// cross-link flap on every even segment and, at the 1 % level, two
+// mid-chain router crashes whose first re-install attempt fails.
+void build_chaos_schedule(sim::FaultInjector& inj, const sim::RingTopo& topo,
+                          double rate, sim::TimeNs window) {
+  if (rate <= 0.0) return;
+  for (std::size_t s = 0; s < topo.segments.size(); ++s) {
+    const auto& seg = topo.segments[s];
+    inj.corrupt(*seg.src->interface_link(0), 0, rate, 0, window);
+    inj.corrupt(*seg.cross_link, 0, rate, 0, window);
+    if (s % 2 == 0)
+      inj.flap(*seg.cross_link, window * 3 / 10, window * 35 / 100);
+  }
+  if (rate >= 0.01) {
+    sim::ReinstallPolicy policy;
+    policy.base_backoff = window / 20;
+    policy.max_backoff = window / 4;
+    policy.jitter_frac = 0.2;
+    policy.max_attempts = 6;
+    for (const std::size_t s : {1u, 5u}) {
+      const auto& routers = topo.segments[s].routers;
+      sim::CrashSpec spec;
+      spec.crash_at = window * 2 / 5;
+      spec.restart_at = window / 2;
+      spec.install_failures = 1;
+      spec.policy = policy;
+      inj.crash(*routers[routers.size() / 2], spec);
+    }
+  }
+}
+
+struct ChaosRun {
+  Digest dig;
+  std::uint64_t attempted = 0;
+  std::uint64_t corrupted = 0;
+  std::size_t violations = 0;
+};
+
+// The default ring (8 segments x 5 Xeon routers) at 450 kpps per segment
+// for `window` under the fault schedule for `rate`, audited at four
+// quiescent points and after a drain tail.
+ChaosRun run_chaos(double rate, std::size_t threads, sim::TimeNs window) {
+  const sim::RingTopoSpec spec;
+  sim::Network net(0xc4a05);
+  sim::RingTopo topo = build_ring_topology(net, spec);
+  net.set_domain_count(spec.segments);
+  net.seal_domains();
+
+  sim::FaultInjector inj(net, 0xfa017);
+  build_chaos_schedule(inj, topo, rate, window);
+  inj.install();
+
+  std::vector<std::unique_ptr<apps::AppMux>> muxes;
+  std::vector<std::unique_ptr<apps::TrafGen>> gens;
+  std::vector<Digest> digs(spec.segments);
+  for (std::size_t s = 0; s < spec.segments; ++s) {
+    auto& seg = topo.segments[s];
+    muxes.push_back(std::make_unique<apps::AppMux>(*seg.sink));
+    muxes.back()->on_udp(
+        7001, [&dig = digs[s]](const net::Packet& pkt, const net::UdpHeader&,
+                               std::span<const std::uint8_t>,
+                               sim::TimeNs now) {
+          ++dig.delivered;
+          dig.mix(now);
+          dig.mix(pkt.seq);
+        });
+    apps::TrafGen::Config cfg;
+    cfg.spec.src = seg.src_addr;
+    cfg.spec.dst = seg.dst_addr;
+    cfg.spec.payload_size = 64;
+    cfg.spec.dst_port = 7001;
+    cfg.pps = 450e3;
+    cfg.duration = window;
+    cfg.flow_label_spread = 16;
+    cfg.src_port_spread = 7;
+    gens.push_back(std::make_unique<apps::TrafGen>(*seg.src, cfg));
+    gens.back()->start();
+  }
+
+  sim::InvariantAuditor auditor;
+  for (const auto& g : gens)
+    auditor.add_source([&gen = *g] { return gen.attempted(); });
+  for (const auto& seg : topo.segments) {
+    auditor.add_node(*seg.src);
+    for (sim::Node* r : seg.routers) auditor.add_node(*r);
+    auditor.add_node(*seg.sink);
+  }
+  const std::vector<sim::Link*> links = collect_links(topo);
+  for (sim::Link* l : links) auditor.add_link(*l);
+
+  for (int chunk = 1; chunk <= 4; ++chunk) {
+    net.run_parallel_until(window * chunk / 4, threads);
+    auditor.audit(net.now());
+  }
+  net.run_parallel_until(window + window / 2 + 10 * sim::kMilli, threads);
+  auditor.audit(net.now(), /*final_drain=*/true);
+
+  ChaosRun run;
+  for (const Digest& d : digs) {
+    run.dig.delivered += d.delivered;
+    run.dig.mix(d.fnv);
+    run.dig.mix(d.delivered);
+  }
+  for (const auto& g : gens) run.attempted += g->attempted();
+  for (sim::Link* l : links)
+    for (int side = 0; side < 2; ++side) run.corrupted += l->stats(side).corrupted;
+  run.violations = auditor.violations().size();
+  for (const std::string& v : auditor.violations())
+    ADD_FAILURE() << "rate " << rate << ", " << threads << " threads: " << v;
+  return run;
+}
+
+TEST(ChaosSoak, RingReplaysAcrossThreadsWithBalancedLedgerAndGoodput) {
+  const sim::TimeNs window = 20 * sim::kMilli;
+  for (const double rate : {0.0, 0.001, 0.01}) {
+    SCOPED_TRACE("fault rate " + std::to_string(rate));
+    const ChaosRun one = run_chaos(rate, 1, window);
+    const ChaosRun eight = run_chaos(rate, 8, window);
+    EXPECT_TRUE(eight.dig == one.dig)
+        << "delivered " << one.dig.delivered << " vs " << eight.dig.delivered;
+    EXPECT_EQ(one.violations, 0u);
+    EXPECT_EQ(eight.violations, 0u);
+    EXPECT_EQ(one.corrupted > 0, rate > 0.0);
+    const double goodput = static_cast<double>(one.dig.delivered) /
+                           static_cast<double>(one.attempted);
+    if (rate >= 0.01) {
+      EXPECT_GE(goodput, 0.5);
+    }
+  }
+}
+
+// A 10 Mbps bottleneck holds thousands of buffers on the wire while the
+// source offers 50 kpps for 20 ms; a 64-buffer pool cap must turn the
+// overload into accounted source-side drops (never an abort) and the
+// ledger must still drain to zero. The pool and its cap are per host
+// thread, so the run gets a fresh thread: the cap then counts only this
+// run's buffers, whatever earlier tests left behind on this one.
+TEST(ChaosSoak, CappedPoolTurnsOverloadIntoAccountedDrops) {
+  std::uint64_t attempted = 0, delivered = 0, drops_no_buffer = 0;
+  std::uint64_t admission_fail = 0;
+  std::vector<std::string> violations;
+  std::thread([&] {
+    sim::Network net(0xeba7);
+    sim::Node& src = net.add_node("xsrc");
+    sim::Node& dst = net.add_node("xdst");
+    auto att = net.connect(src, A("fd77:1::1"), dst, A("fd77:1::2"),
+                           10ull * 1000 * 1000, 10 * sim::kMicro);
+    src.ns().table(0).add_route(P("fd77:1::/64"),
+                                {net::Ipv6Addr{}, att.a_ifindex, 1});
+    apps::AppMux mux(dst);
+    mux.on_udp(7001, [&delivered](const net::Packet&, const net::UdpHeader&,
+                                  std::span<const std::uint8_t>,
+                                  sim::TimeNs) { ++delivered; });
+
+    sim::FaultInjector inj(net, 0xfa017);
+    inj.cap_buffer_pool(64);
+    inj.install();
+
+    const sim::TimeNs window = 20 * sim::kMilli;
+    apps::TrafGen::Config cfg;
+    cfg.spec.src = A("fd77:1::1");
+    cfg.spec.dst = A("fd77:1::2");
+    cfg.spec.payload_size = 64;
+    cfg.spec.dst_port = 7001;
+    cfg.pps = 50000;
+    cfg.duration = window;
+    apps::TrafGen gen(src, cfg);
+    gen.start();
+
+    sim::InvariantAuditor auditor;
+    auditor.add_source([&gen] { return gen.attempted(); });
+    auditor.add_node(src);
+    auditor.add_node(dst);
+    auditor.add_link(*att.link);
+    net.run_until(window / 2);
+    auditor.audit(net.now());
+    // Drain tail: the 10 Mbps wire needs seconds to clear a deep backlog.
+    net.run_until(window + 5 * sim::kSecond);
+    auditor.audit(net.now(), /*final_drain=*/true);
+
+    attempted = gen.attempted();
+    drops_no_buffer = gen.drops_no_buffer();
+    admission_fail = net::BufferPool::stats().admission_fail;
+    violations = auditor.violations();
+  }).join();
+
+  EXPECT_GE(drops_no_buffer, 1u);
+  EXPECT_GE(admission_fail, drops_no_buffer);
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(delivered + drops_no_buffer, attempted);
+  for (const std::string& v : violations) ADD_FAILURE() << v;
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential test of the multibit-stride LPM engine (util::LpmTrie)
 // against the classic one-bit-per-node walk it replaced
-// (util::BitwiseLpmTrie, preserved as the oracle): randomized
+// (oracle::BitwiseLpmTrie, tests/bitwise_lpm_trie.h): randomized
 // insert/erase/lookup sequences over IPv6-width keys must produce identical
 // longest-prefix results at every step — including the /0 default route,
 // overlapping /48 + /64 prefixes and erase-then-relookup — plus the same
@@ -13,6 +13,7 @@
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
+#include "bitwise_lpm_trie.h"
 #include "ebpf/map.h"
 #include "net/checksum.h"
 #include "net/packet.h"
@@ -24,7 +25,7 @@
 namespace srv6bpf {
 namespace {
 
-using util::BitwiseLpmTrie;
+using oracle::BitwiseLpmTrie;
 using util::LpmTrie;
 
 struct Key {

@@ -602,8 +602,8 @@ Digest run_fig2_fib48(int threads) {
   r.cpu.profile = sim::kXeonProfile;
   r.cpu.ncpus = 1;
 
-  // The lpm_sweep end-to-end shape (bench/hotpath.cc install_fib48): 2048
-  // /48 sites routed at R, matching local addresses at S2.
+  // The fig2_fib48 shape (tests/saturation_lab.h add_fib48): 2048 /48
+  // sites routed at R, matching local addresses at S2.
   char buf[64];
   for (std::size_t i = 0; i < kFibRoutes; ++i) {
     std::snprintf(buf, sizeof buf, "2001:db8:%zx::/48", i);
@@ -943,8 +943,12 @@ struct RingResult {
   util::HdrHistogram merged;  // per-sink delivery-time shards, folded
 };
 
-RingResult run_ring(int threads, const sim::RingTopoSpec& spec,
-                    double pps, sim::TimeNs window) {
+// Each segment's source offers `pps` for `gen_window` over `flow_labels`
+// labels and `src_ports` source ports; the run lasts `window`.
+RingResult run_ring(int threads, const sim::RingTopoSpec& spec, double pps,
+                    sim::TimeNs gen_window, sim::TimeNs window,
+                    std::uint32_t flow_labels = 4,
+                    std::uint16_t src_ports = 1) {
   sim::Network net(0x816);
   sim::RingTopo topo = build_ring_topology(net, spec);
   if (threads != kSerial) {
@@ -978,8 +982,9 @@ RingResult run_ring(int threads, const sim::RingTopoSpec& spec,
     cfg.spec.payload_size = 64;
     cfg.spec.dst_port = 7001;
     cfg.pps = pps;
-    cfg.duration = window / 2;
-    cfg.flow_label_spread = 4;
+    cfg.duration = gen_window;
+    cfg.flow_label_spread = flow_labels;
+    cfg.src_port_spread = src_ports;
     gens.push_back(std::make_unique<apps::TrafGen>(*seg.src, cfg));
     gens.back()->start();
   }
@@ -1005,12 +1010,31 @@ TEST(PdesDeterminism, RingTopologyDigestsIdenticalAcrossThreads) {
   spec.segments = 4;
   spec.routers_per_segment = 2;
   const sim::TimeNs window = 4 * sim::kMilli;
-  const RingResult serial = run_ring(kSerial, spec, 50000, window);
+  const RingResult serial = run_ring(kSerial, spec, 50000, window / 2, window);
   EXPECT_GT(serial.dig.delivered, 100u);
   for (const int threads : {1, 2, 4}) {
-    const RingResult run = run_ring(threads, spec, 50000, window);
+    const RingResult run = run_ring(threads, spec, 50000, window / 2, window);
     EXPECT_TRUE(run.dig == serial.dig) << "threads=" << threads;
   }
+}
+
+// The full default ring (8 segments x 5 Xeon routers + src + sink = 56
+// nodes, one PDES domain per segment) at 450 kpps per segment — three
+// quarters of a router core — for 20 ms: 8 worker threads, more than the
+// host may have cores, reproduce the 1-thread delivery digest exactly.
+TEST(PdesDeterminism, FullRingDigestIdenticalAt1And8Threads) {
+  const sim::RingTopoSpec spec;
+  const sim::TimeNs gen_window = 20 * sim::kMilli;
+  auto run = [&](int threads) {
+    return run_ring(threads, spec, 450e3, gen_window,
+                    gen_window + 10 * sim::kMilli, /*flow_labels=*/16,
+                    /*src_ports=*/7);
+  };
+  const RingResult one = run(1);
+  EXPECT_GT(one.dig.delivered, 70000u);
+  const RingResult eight = run(8);
+  EXPECT_TRUE(eight.dig == one.dig)
+      << "delivered " << one.dig.delivered << " vs " << eight.dig.delivered;
 }
 
 TEST(PdesStats, HdrHistogramMergeAcrossDomainsMatchesSerial) {
@@ -1018,8 +1042,8 @@ TEST(PdesStats, HdrHistogramMergeAcrossDomainsMatchesSerial) {
   spec.segments = 4;
   spec.routers_per_segment = 2;
   const sim::TimeNs window = 4 * sim::kMilli;
-  const RingResult serial = run_ring(kSerial, spec, 50000, window);
-  const RingResult part = run_ring(4, spec, 50000, window);
+  const RingResult serial = run_ring(kSerial, spec, 50000, window / 2, window);
+  const RingResult part = run_ring(4, spec, 50000, window / 2, window);
   EXPECT_EQ(part.merged.count(), serial.merged.count());
   EXPECT_EQ(part.merged.min(), serial.merged.min());
   EXPECT_EQ(part.merged.max(), serial.merged.max());

@@ -2,7 +2,9 @@
 // merge algebra, LatencyTracer classification, drop-reason timestamps,
 // RateMeter inter-arrival reporting, netem loss/jitter determinism, and the
 // failure/churn machinery (link down/up, route withdraw, SRv6 fast-reroute,
-// reconvergence clock).
+// reconvergence clock), and the SLO soak gates: FRR vs IGP failover
+// blackholes and tails, the netem loss/jitter bounds, and a zero-allocation
+// delivery path (this binary compiles tests/alloc_hooks_impl.cc).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,11 +16,13 @@
 #include "apps/trafgen.h"
 #include "net/packet.h"
 #include "seg6/fib.h"
+#include "seg6/seg6local.h"
 #include "sim/latency_tracer.h"
 #include "sim/netem.h"
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/stats.h"
+#include "util/alloc_hooks.h"
 #include "util/hdr_histogram.h"
 #include "util/rng.h"
 
@@ -539,6 +543,219 @@ TEST(SloEndToEnd, TracerCountsMatchGeneratorSpread) {
   }
   EXPECT_EQ(sum, gen.sent());
   EXPECT_GT(tracer.overall().min(), 0u);  // real path delay, not zero
+}
+
+// ---- SLO soak: FRR vs IGP failover and the netem sweep -----------------------
+
+// S1 - R1 - R2 - S2 with an R1 - R3 - R2 backup triangle. Only R1, the point
+// of local repair, is CPU-modelled. With FRR, R1's route to the sink
+// carries a precomputed TI-LFA backup: encap [R3 End SID, R2 End.DT6 SID]
+// out the R1 - R3 adjacency.
+struct SloLab {
+  sim::Network net{0x510a50ac};
+  sim::Node* s1;
+  sim::Node* r1;
+  sim::Node* r2;
+  sim::Node* r3;
+  sim::Node* s2;
+  sim::Link* l_r1r2;  // the primary, which fails
+  int r1_to_r3 = -1;
+  int r3_to_r2 = -1;
+  std::unique_ptr<apps::AppMux> mux;
+  std::unique_ptr<apps::UdpSink> sink;
+  std::unique_ptr<apps::TrafGen> gen;
+
+  explicit SloLab(bool with_frr) {
+    s1 = &net.add_node("S1");
+    r1 = &net.add_node("R1");
+    r2 = &net.add_node("R2");
+    r3 = &net.add_node("R3");
+    s2 = &net.add_node("S2");
+    const std::uint64_t bw = 10ull * 1000 * 1000 * 1000;
+    const sim::TimeNs prop = 10 * sim::kMicro;
+    auto ls = net.connect(*s1, A("fc00:1::1"), *r1, A("fc00:1::2"), bw, prop);
+    auto lp = net.connect(*r1, A("fc00:a::1"), *r2, A("fc00:a::2"), bw, prop);
+    auto lb = net.connect(*r1, A("fc00:b::1"), *r3, A("fc00:b::2"), bw, prop);
+    auto lc = net.connect(*r3, A("fc00:c::1"), *r2, A("fc00:c::2"), bw, prop);
+    auto ld = net.connect(*r2, A("fc00:2::1"), *s2, A("fc00:2::2"), bw, prop);
+    l_r1r2 = lp.link;
+    r1_to_r3 = lb.a_ifindex;
+    r3_to_r2 = lc.a_ifindex;
+
+    s1->ns().table(0).add_route(P("::/0"), {A("fc00:1::2"), ls.a_ifindex, 1});
+    seg6::Route to_sink;
+    to_sink.prefix = P("fc00:2::/64");
+    to_sink.nexthops = {{net::Ipv6Addr{}, lp.a_ifindex, 1}};
+    if (with_frr)
+      to_sink.frr = std::make_shared<seg6::FrrBackup>(seg6::FrrBackup{
+          {A("fc00:3::e3"), A("fc00:d::6")}, {net::Ipv6Addr{}, r1_to_r3, 1}});
+    r1->ns().table(0).add_route(std::move(to_sink));
+    r3->ns().table(0).add_route(P("fc00:d::/64"),
+                                {net::Ipv6Addr{}, r3_to_r2, 1});
+    r3->ns().seg6local().add(A("fc00:3::e3"),
+                             {seg6::Seg6Action::kEnd, {}, 0, {}, {}});
+    r2->ns().seg6local().add(A("fc00:d::6"),
+                             {seg6::Seg6Action::kEndDT6, {}, 0, {}, {}});
+    r2->ns().table(0).add_route(P("fc00:2::/64"),
+                                {net::Ipv6Addr{}, ld.a_ifindex, 1});
+    r1->cpu.enabled = true;
+    r1->cpu.profile = sim::kXeonProfile;
+    r1->cpu.rx_burst = 32;
+
+    mux = std::make_unique<apps::AppMux>(*s2);
+    sink = std::make_unique<apps::UdpSink>(*mux, 7001);
+  }
+
+  // Bursts of 8 over four flow labels and four source ports.
+  void start_traffic(double pps, sim::TimeNs start, sim::TimeNs duration) {
+    apps::TrafGen::Config cfg;
+    cfg.spec.src = A("fc00:1::1");
+    cfg.spec.dst = A("fc00:2::2");
+    cfg.spec.payload_size = 64;
+    cfg.spec.dst_port = 7001;
+    cfg.pps = pps;
+    cfg.burst = 8;
+    cfg.flow_label_spread = 4;
+    cfg.src_port_spread = 4;
+    cfg.start_at = start;
+    cfg.duration = duration;
+    gen = std::make_unique<apps::TrafGen>(*s1, cfg);
+    gen->start();
+  }
+};
+
+struct FailoverRun {
+  std::uint64_t offered = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t frr_reroutes = 0;
+  std::uint64_t blackhole_ns = 0;
+  bool recovered = false;
+  std::uint64_t pre_p99 = 0;   // delivery latency before the cut
+  std::uint64_t post_p99 = 0;  // and after it
+  std::uint64_t window_allocs = 0;
+
+  double delivery_ratio() const {
+    return static_cast<double>(delivered) / static_cast<double>(offered);
+  }
+};
+
+// 100 kpps from 1 ms to `t_end`, the primary cut at `t_fail`. Without FRR,
+// a route via R3 lands `reconverge` later, modelling IGP reconvergence.
+// Operator-new calls are counted over the middle half of the pre-cut
+// steady state.
+FailoverRun run_failover(bool frr, sim::TimeNs t_fail, sim::TimeNs reconverge,
+                         sim::TimeNs t_end) {
+  SloLab lab(frr);
+  sim::LatencyTracer tracer;
+  tracer.classify_by_flow_label(4);
+  sim::ReconvergenceClock clock;
+  lab.sink->set_tracer(&tracer);
+  lab.sink->set_reconvergence_clock(&clock);
+
+  const sim::TimeNs t_start = sim::kMilli;
+  lab.start_traffic(100e3, t_start, t_end - t_start);
+  clock.arm(t_fail);
+  lab.net.schedule_link_down(*lab.l_r1r2, t_fail);
+  if (!frr) {
+    lab.r3->ns().table(0).add_route(P("fc00:2::/64"),
+                                    {net::Ipv6Addr{}, lab.r3_to_r2, 1});
+    seg6::Route repaired;
+    repaired.prefix = P("fc00:2::/64");
+    repaired.nexthops = {{net::Ipv6Addr{}, lab.r1_to_r3, 1}};
+    lab.net.schedule_route_add(*lab.r1, 0, repaired, t_fail + reconverge);
+  }
+
+  FailoverRun run;
+  lab.net.loop().schedule_at(t_fail, [&tracer, &run] {
+    run.pre_p99 = tracer.overall().p99();
+    tracer.reset_samples();
+  });
+  std::uint64_t allocs0 = 0;
+  lab.net.loop().schedule_at(t_start + (t_fail - t_start) / 4, [&allocs0] {
+    allocs0 = util::alloc_counters().news;
+  });
+  lab.net.loop().schedule_at(t_start + 3 * (t_fail - t_start) / 4,
+                             [&allocs0, &run] {
+                               run.window_allocs =
+                                   util::alloc_counters().news - allocs0;
+                             });
+  lab.net.run_until(t_end + 50 * sim::kMilli);
+
+  run.offered = lab.gen->sent();
+  run.delivered = lab.sink->packets();
+  run.frr_reroutes = lab.r1->stats().frr_reroutes;
+  run.blackhole_ns = clock.blackhole_ns();
+  run.recovered = clock.recovered();
+  run.post_p99 = tracer.overall().p99();
+  return run;
+}
+
+TEST(SloSoak, FrrRepairBlackholesUnderAMillisecondWithBoundedTail) {
+  ASSERT_TRUE(util::alloc_hooks_active());
+  const FailoverRun frr =
+      run_failover(/*frr=*/true, 500 * sim::kMilli, 0, 1200 * sim::kMilli);
+  EXPECT_GT(frr.frr_reroutes, 0u);
+  EXPECT_TRUE(frr.recovered);
+  EXPECT_LE(frr.blackhole_ns, sim::kMilli);
+  EXPECT_GE(frr.delivery_ratio(), 0.999);
+  EXPECT_LE(frr.pre_p99, 50000u);
+  EXPECT_LE(frr.post_p99, 65000u);
+  // The repair path is two hops longer, so the tail must show it.
+  EXPECT_GE(static_cast<double>(frr.post_p99) /
+                static_cast<double>(frr.pre_p99), 1.05);
+  EXPECT_EQ(frr.window_allocs, 0u)
+      << "the histogram/tracer delivery path allocated";
+}
+
+TEST(SloSoak, IgpBlackholeStraddlesTheReconvergenceDelay) {
+  const sim::TimeNs reconverge = 200 * sim::kMilli;
+  const FailoverRun igp = run_failover(/*frr=*/false, 300 * sim::kMilli,
+                                       reconverge, 800 * sim::kMilli);
+  EXPECT_EQ(igp.frr_reroutes, 0u);
+  EXPECT_TRUE(igp.recovered);
+  EXPECT_GE(igp.blackhole_ns, reconverge);
+  EXPECT_LE(igp.blackhole_ns, reconverge + 10 * sim::kMilli);
+  EXPECT_GE(igp.delivery_ratio(), 0.6);
+}
+
+struct NetemRun {
+  double loss_ratio = 0;
+  std::uint64_t p99 = 0;
+};
+
+// 50 kpps for 300 ms with R1's egress onto the primary impaired by netem:
+// 100 us delay plus the given loss and OU-correlated jitter.
+NetemRun run_netem(double loss, sim::TimeNs jitter, sim::TimeNs tau) {
+  SloLab lab(/*with_frr=*/true);
+  sim::NetemConfig cfg;
+  cfg.delay_ns = 100 * sim::kMicro;
+  cfg.jitter_ns = jitter;
+  cfg.jitter_tau_ns = tau;
+  cfg.loss_prob = loss;
+  lab.l_r1r2->qdisc(0).set_config(cfg);
+  sim::LatencyTracer tracer;
+  lab.sink->set_tracer(&tracer);
+
+  const sim::TimeNs dur = 300 * sim::kMilli;
+  lab.start_traffic(50e3, sim::kMilli, dur);
+  lab.net.run_until(sim::kMilli + dur + 100 * sim::kMilli);
+  return {static_cast<double>(lab.l_r1r2->qdisc(0).losses()) /
+              static_cast<double>(lab.gen->sent()),
+          tracer.overall().p99()};
+}
+
+TEST(SloSoak, NetemLossAndJitterTailsStayInBounds) {
+  const NetemRun baseline = run_netem(0.0, 0, 0);
+  EXPECT_EQ(baseline.loss_ratio, 0.0);
+  EXPECT_LE(baseline.p99, 150000u);
+
+  const NetemRun lossy = run_netem(0.01, 0, 0);
+  EXPECT_GE(lossy.loss_ratio, 0.005);
+  EXPECT_LE(lossy.loss_ratio, 0.02);
+
+  const NetemRun jittery = run_netem(0.0, 20 * sim::kMicro, 200 * sim::kMicro);
+  EXPECT_GE(jittery.p99, 160000u);
+  EXPECT_LE(jittery.p99, 250000u);
 }
 
 }  // namespace
