@@ -352,7 +352,7 @@ void BM_DecodeProgram(benchmark::State& state) {
   const auto insns = alu_chain(512);
   for (auto _ : state) {
     auto decoded = decode_program(insns, &sys.helpers());
-    benchmark::DoNotOptimize(decoded->size());
+    benchmark::DoNotOptimize(decoded.prog->size());
   }
   state.SetItemsProcessed(state.iterations() * 514);
 }

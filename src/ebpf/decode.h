@@ -1,7 +1,11 @@
-// Pre-decoded program representation shared by both execution engines.
+// Pre-decoded program representation shared by both execution engines, and
+// the one table of valid instruction encodings.
 //
-// At load time (after verification) the raw Insn stream is translated once
-// into a dense DecodedInsn array:
+// The verifier decodes first (ebpf/verifier.h), so every instruction is
+// judged here before the symbolic walk, including ones it never reaches.
+// The raw Insn stream is translated once into a dense DecodedInsn array:
+//   * every opcode is looked up in one 256-entry table (the kernel's
+//     bpf_opcode_in_insntable()); anything not in it is rejected;
 //   * operand kinds (reg vs. immediate, width) are folded into the op kind;
 //   * immediates are sign- or zero-extended into a materialised imm64;
 //   * register indices are validated once, never again at run time;
@@ -24,7 +28,6 @@
 
 #include "ebpf/helpers.h"
 #include "ebpf/insn.h"
-#include "ebpf/program.h"
 
 namespace srv6bpf::ebpf {
 
@@ -91,6 +94,8 @@ struct DecodedInsn {
   const HelperFn* fn = nullptr;  // resolved helper for calls
 };
 
+struct DecodeResult;
+
 // A decode-once program. Immutable after construction; a LoadedProgram
 // holds it for the interpreter beside the native code emitted from it.
 class DecodedProgram {
@@ -103,25 +108,26 @@ class DecodedProgram {
   std::string dump() const;
 
  private:
-  friend std::shared_ptr<const DecodedProgram> decode_program(
-      const std::vector<Insn>&, const HelperRegistry*);
+  friend DecodeResult decode_program(const std::vector<Insn>&,
+                                     const HelperRegistry*);
   std::vector<DecodedInsn> ops_;
 };
 
-// Translates a raw instruction stream. Performs the structural validation
-// both engines rely on (register ranges, jump targets inside the program and
-// not into ld_imm64 pairs, no fall-through past the end, resolvable helpers)
-// and throws std::logic_error on violation. Programs that passed the
-// verifier always decode; the checks exist so that a decoded program is
-// *fetch-safe* even if handed an unverified stream (memory safety of the
-// program's own loads/stores is then the interpreter's runtime checks or the
-// verifier's proof, as before).
-std::shared_ptr<const DecodedProgram> decode_program(
-    const std::vector<Insn>& insns, const HelperRegistry* helpers);
+struct DecodeResult {
+  std::shared_ptr<const DecodedProgram> prog;  // null on error
+  std::string error;                           // empty on success
+  int error_insn = -1;  // offending slot; -1 for whole-program errors
+  bool ok() const noexcept { return prog != nullptr; }
+};
 
-inline std::shared_ptr<const DecodedProgram> decode_program(
-    const Program& prog, const HelperRegistry* helpers) {
-  return decode_program(prog.insns(), helpers);
-}
+// Translates a raw instruction stream, or says why it is not a program:
+// empty or longer than kMaxInsns; an opcode outside the table; a bad
+// byteswap width, ld_imm64 second slot or pseudo source; a register out of
+// range; a jump outside the program or into an ld_imm64 pair; control
+// falling off the end; an unresolvable helper. A decoded program is
+// therefore *fetch-safe*; memory safety of its loads and stores is the
+// verifier's proof (native code) or the interpreter's runtime checks.
+DecodeResult decode_program(const std::vector<Insn>& insns,
+                            const HelperRegistry* helpers);
 
 }  // namespace srv6bpf::ebpf

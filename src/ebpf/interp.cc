@@ -570,6 +570,8 @@ ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
         continue;
       }
       case BPF_LDX: {
+        if (insn.mode_field() != BPF_MEM)
+          return fault(res.insns_executed, "unsupported LDX mode");
         const int n = access_size(insn.size_field());
         const std::uint64_t addr = src + insn.off;
         if (!mem_ok(addr, n, false))
@@ -587,6 +589,8 @@ ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
       }
       case BPF_ST:
       case BPF_STX: {
+        if (insn.mode_field() != BPF_MEM)
+          return fault(res.insns_executed, "unsupported store mode");
         const int n = access_size(insn.size_field());
         const std::uint64_t addr = dst + insn.off;
         const std::uint64_t val =

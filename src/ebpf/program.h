@@ -1,4 +1,4 @@
-// A loaded eBPF program: instructions + attachment type + verification state.
+// An eBPF program: instructions + attachment type.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +36,6 @@ class Program {
   const std::vector<Insn>& insns() const noexcept { return insns_; }
   std::size_t size() const noexcept { return insns_.size(); }
 
-  bool verified() const noexcept { return verified_; }
-  void set_verified() noexcept { verified_ = true; }
-
   // Source-lines-of-code equivalent, reported by the benches to compare with
   // the paper's SLOC figures (the paper counts C source lines; we report the
   // instruction-slot count of the hand-assembled equivalent).
@@ -49,7 +46,6 @@ class Program {
   std::string name_;
   ProgType type_;
   std::vector<Insn> insns_;
-  bool verified_ = false;
   std::size_t sloc_hint_ = 0;
 };
 

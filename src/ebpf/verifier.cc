@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
+#include <cstdlib>
 #include <deque>
 #include <limits>
 #include <optional>
-#include <sstream>
 
 namespace srv6bpf::ebpf {
 namespace {
@@ -18,6 +17,13 @@ constexpr std::uint32_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 constexpr std::int64_t kMaxPtrOff = 1 << 20;
 // Largest helper memory argument we accept.
 constexpr std::uint64_t kMaxMemArg = 8192;
+// Symbolic states processed before a program is rejected as too complex.
+constexpr std::size_t kMaxStates = 200000;
+// States are kept for deduplication at jump targets, where paths join, and
+// at every kPruneStride-th instruction, so that paths a join left apart and
+// later code made identical still merge soon. Keeping a 4 KiB state at
+// every instruction cost more in copies and heap churn than it pruned.
+constexpr int kPruneStride = 8;
 
 enum class RT : std::uint8_t {
   kNotInit,
@@ -129,10 +135,8 @@ constexpr int kCtxSize = 40;
 class Checker {
  public:
   Checker(const std::vector<Insn>& insns, ProgType type,
-          const MapRegistry* maps, const HelperRegistry* helpers,
-          const VerifyOptions& opts)
-      : insns_(insns), type_(type), maps_(maps), helpers_(helpers),
-        opts_(opts) {}
+          const MapRegistry* maps, const HelperRegistry* helpers)
+      : insns_(insns), type_(type), maps_(maps), helpers_(helpers) {}
 
   VerifyResult run();
 
@@ -166,12 +170,11 @@ class Checker {
   void mark_map_null_branch(State& s, std::uint32_t id, bool is_null);
   void invalidate_packet(State& s);
 
+  // `insn` -1 marks a whole-program error.
   VerifierError err(int insn, const std::string& msg) const {
+    if (insn < 0) return {msg, insn};
     return {msg + " (at insn " + std::to_string(insn) + ": " +
-                (insn >= 0 && insn < static_cast<int>(insns_.size())
-                     ? disasm(insns_[insn])
-                     : std::string("?")) +
-                ")",
+                disasm(insns_[insn]) + ")",
             insn};
   }
 
@@ -179,9 +182,9 @@ class Checker {
   ProgType type_;
   const MapRegistry* maps_;
   const HelperRegistry* helpers_;
-  VerifyOptions opts_;
 
   std::vector<bool> is_aux_;        // second slot of LD_IMM64
+  std::vector<bool> prune_point_;   // where states are deduplicated
   std::deque<State> worklist_;
   std::vector<std::vector<State>> seen_;  // per-pc states for pruning
   VerifyStats stats_;
@@ -191,26 +194,17 @@ class Checker {
 // CFG checks
 // ---------------------------------------------------------------------------
 
+// Decode has already bounded every jump target, kept them off ld_imm64
+// second slots and ruled out falling off the end; what is left is the shape
+// of the graph.
 std::optional<VerifierError> Checker::check_cfg() {
   const int n = static_cast<int>(insns_.size());
-  if (n == 0) return VerifierError{"empty program", -1};
-  if (n > kMaxInsns)
-    return VerifierError{"program too large (" + std::to_string(n) + " > " +
-                             std::to_string(kMaxInsns) + ")",
-                         -1};
-
   is_aux_.assign(n, false);
+  prune_point_.assign(n, false);
   for (int i = 0; i < n; ++i) {
-    if (insns_[i].is_ld_imm64()) {
-      if (i + 1 >= n)
-        return err(i, "ld_imm64 missing second slot");
-      if (insns_[i + 1].opcode != 0)
-        return err(i + 1, "ld_imm64 second slot must have opcode 0");
-      is_aux_[i + 1] = true;
-      ++i;
-    } else if (insns_[i].opcode == 0) {
-      return err(i, "invalid opcode 0");
-    }
+    if (i % kPruneStride == 0) prune_point_[i] = true;
+    if (insns_[i].is_jump()) prune_point_[i + 1 + insns_[i].off] = true;
+    if (insns_[i].is_ld_imm64()) is_aux_[++i] = true;
   }
 
   // Successor computation.
@@ -250,11 +244,6 @@ std::optional<VerifierError> Checker::check_cfg() {
       continue;
     }
     const int t = succ[next++];
-    if (t == n)
-      return err(node, "control flow falls off the end of the program");
-    if (t < 0 || t > n)
-      return err(node, "jump/fallthrough out of program bounds");
-    if (is_aux_[t]) return err(node, "jump into the middle of ld_imm64");
     if (colour[t] == kGrey)
       return err(node, "back-edge detected (loops are not allowed)");
     if (colour[t] == kWhite) {
@@ -263,20 +252,9 @@ std::optional<VerifierError> Checker::check_cfg() {
     }
   }
 
-  for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < n; ++i)
     if (colour[i] == kWhite && !is_aux_[i])
       return err(i, "unreachable instruction");
-    // Falling through past the last instruction.
-    if (colour[i] != kWhite && !insns_[i].is_exit()) {
-      int succ[2];
-      const int count = successors(i, succ);
-      for (int k = 0; k < count; ++k)
-        if (succ[k] == n)
-          return err(i, "control flow falls off the end of the program");
-      if (count == 0 && !insns_[i].is_exit())
-        return err(i, "control flow falls off the end of the program");
-    }
-  }
   return std::nullopt;
 }
 
@@ -285,7 +263,7 @@ std::optional<VerifierError> Checker::check_cfg() {
 // ---------------------------------------------------------------------------
 
 void Checker::push(State s) {
-  if (opts_.enable_pruning) {
+  if (prune_point_[s.pc]) {
     for (const State& old : seen_[s.pc]) {
       if (old.same_invariants(s)) {
         ++stats_.states_pruned;
@@ -309,7 +287,7 @@ std::optional<VerifierError> Checker::explore() {
   while (!worklist_.empty()) {
     State s = std::move(worklist_.front());
     worklist_.pop_front();
-    if (++stats_.states_visited > opts_.max_states)
+    if (++stats_.states_visited > kMaxStates)
       return VerifierError{"program too complex (state budget exhausted)", -1};
     if (auto e = step(std::move(s))) return e;
   }
@@ -318,8 +296,6 @@ std::optional<VerifierError> Checker::explore() {
 
 std::optional<VerifierError> Checker::check_reg_init(const State& s, int reg,
                                                      int insn_idx) const {
-  if (reg < 0 || reg >= kNumRegs)
-    return err(insn_idx, "unknown register r" + std::to_string(reg));
   if (s.regs[reg].type == RT::kNotInit)
     return err(insn_idx, "read of uninitialised register r" +
                              std::to_string(reg));
@@ -357,34 +333,26 @@ std::optional<VerifierError> Checker::step(State s) {
       push(std::move(s));
       return std::nullopt;
     }
-    case BPF_JMP:
-    case BPF_JMP32: {
-      if (insn.is_exit()) {
-        if (auto e = check_reg_init(s, R0, pc)) return e;
-        if (s.regs[R0].type != RT::kScalar)
-          return err(pc, "R0 must hold a scalar return value at exit");
-        return std::nullopt;  // path done
-      }
-      if (insn.is_call()) {
-        if (auto e = do_call(s, insn)) return e;
-        s.pc = pc + 1;
-        push(std::move(s));
-        return std::nullopt;
-      }
-      return do_jump(std::move(s), insn);
-    }
   }
-  return err(pc, "unknown instruction class");
+  // BPF_JMP / BPF_JMP32.
+  if (insn.is_exit()) {
+    if (auto e = check_reg_init(s, R0, pc)) return e;
+    if (s.regs[R0].type != RT::kScalar)
+      return err(pc, "R0 must hold a scalar return value at exit");
+    return std::nullopt;  // path done
+  }
+  if (insn.is_call()) {
+    if (auto e = do_call(s, insn)) return e;
+    s.pc = pc + 1;
+    push(std::move(s));
+    return std::nullopt;
+  }
+  return do_jump(std::move(s), insn);
 }
 
 // ---- ALU -------------------------------------------------------------------
 
 namespace {
-
-// Sign-extended immediate as u64 (eBPF semantics for 64-bit ALU with K).
-std::uint64_t sext_imm(std::int32_t imm) {
-  return static_cast<std::uint64_t>(static_cast<std::int64_t>(imm));
-}
 
 // 32-bit ALU result bounds: exact when both operands constant, else the
 // conservative [0, 2^32-1] (ALU32 zero-extends into the upper half).
@@ -427,7 +395,6 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   const bool is64 = insn.insn_class() == BPF_ALU64;
   const std::uint8_t op = insn.alu_op();
 
-  if (dst >= kNumRegs) return err(pc, "unknown destination register");
   if (dst == R10) return err(pc, "frame pointer R10 is read-only");
 
   // Source operand (register or immediate).
@@ -445,17 +412,18 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
       if (is64) {
         d = *src_reg;
       } else {
+        // The low half of a pointer is a host address: a scalar copy of it
+        // would leak into maps and make runs differ between engines.
+        if (src_reg->is_pointer()) return err(pc, "partial copy of pointer");
         d = alu32_result(BPF_MOV, Reg::scalar_const(0),
                          src_reg->is_const()
                              ? std::optional<std::uint64_t>(src_reg->umin)
                              : std::nullopt);
-        if (!src_reg->is_const() && src_reg->type == RT::kScalar &&
-            src_reg->umax <= kU32Max)
+        if (!src_reg->is_const() && src_reg->umax <= kU32Max)
           d = Reg::scalar_range(src_reg->umin, src_reg->umax);
-        if (src_reg->is_pointer()) d = Reg::scalar_range(0, kU32Max);
       }
     } else {
-      d = is64 ? Reg::scalar_const(sext_imm(insn.imm))
+      d = is64 ? Reg::scalar_const(sext_imm64(insn.imm))
                : Reg::scalar_const(static_cast<std::uint32_t>(insn.imm));
     }
     return std::nullopt;
@@ -464,18 +432,12 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   if (op == BPF_END) {
     if (auto e = check_reg_init(s, dst, pc)) return e;
     if (d.is_pointer()) return err(pc, "byte swap on pointer");
-    if (insn.imm != 16 && insn.imm != 32 && insn.imm != 64)
-      return err(pc, "invalid byte swap width");
     d = Reg::scalar_unknown();
     if (insn.imm != 64) d.umax = (1ull << insn.imm) - 1;
     return std::nullopt;
   }
 
   if (op == BPF_NEG) {
-    // Linux rejects BPF_NEG with the source bit set (BPF_X): negation has
-    // no register operand. Both engines enforce this at runtime too.
-    if (insn.uses_reg_src())
-      return err(pc, "BPF_NEG with register source");
     if (auto e = check_reg_init(s, dst, pc)) return e;
     if (d.is_pointer()) return err(pc, "arithmetic negation on pointer");
     d = d.is_const() ? Reg::scalar_const(is64 ? (~d.umin + 1)
@@ -513,7 +475,7 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
     Reg ptr = d.is_pointer() ? d : *src_reg;
     Reg scl;
     if (d.is_pointer()) {
-      scl = src_reg ? *src_reg : Reg::scalar_const(sext_imm(insn.imm));
+      scl = src_reg ? *src_reg : Reg::scalar_const(sext_imm64(insn.imm));
     } else {
       if (op == BPF_SUB) return err(pc, "cannot subtract pointer from scalar");
       scl = d;
@@ -555,7 +517,7 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   if (src_reg) {
     if (src_reg->is_const()) k = src_reg->umin;
   } else {
-    k = is64 ? sext_imm(insn.imm)
+    k = is64 ? sext_imm64(insn.imm)
              : static_cast<std::uint64_t>(static_cast<std::uint32_t>(insn.imm));
   }
 
@@ -647,10 +609,8 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
 std::optional<VerifierError> Checker::do_load(State& s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
 
-  if (insn.insn_class() == BPF_LD) {
-    if (!insn.is_ld_imm64()) return err(pc, "unsupported BPF_LD mode");
-    if (insn.dst >= kNumRegs || insn.dst == R10)
-      return err(pc, "bad ld_imm64 destination");
+  if (insn.insn_class() == BPF_LD) {  // ld_imm64
+    if (insn.dst == R10) return err(pc, "bad ld_imm64 destination");
     const Insn& hi = insns_[pc + 1];
     if (insn.src == BPF_PSEUDO_MAP_FD) {
       const auto map_id = static_cast<std::uint32_t>(insn.imm);
@@ -658,8 +618,6 @@ std::optional<VerifierError> Checker::do_load(State& s, const Insn& insn) {
         return err(pc, "ld_map references unknown map id " +
                            std::to_string(map_id));
       s.regs[insn.dst] = {.type = RT::kConstMapPtr, .map_id = map_id};
-    } else if (insn.src != 0) {
-      return err(pc, "unknown ld_imm64 pseudo source");
     } else {
       const std::uint64_t v =
           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi.imm))
@@ -671,9 +629,7 @@ std::optional<VerifierError> Checker::do_load(State& s, const Insn& insn) {
   }
 
   // LDX
-  if (insn.mode_field() != BPF_MEM) return err(pc, "unsupported LDX mode");
-  if (insn.dst >= kNumRegs || insn.dst == R10)
-    return err(pc, "bad load destination register");
+  if (insn.dst == R10) return err(pc, "bad load destination register");
   if (auto e = check_reg_init(s, insn.src, pc)) return e;
   const Reg& ptr = s.regs[insn.src];
   const int size = access_size(insn.size_field());
@@ -711,7 +667,6 @@ std::optional<VerifierError> Checker::do_load(State& s, const Insn& insn) {
 
 std::optional<VerifierError> Checker::do_store(State& s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
-  if (insn.mode_field() != BPF_MEM) return err(pc, "unsupported store mode");
   if (auto e = check_reg_init(s, insn.dst, pc)) return e;
   const int size = access_size(insn.size_field());
 
@@ -720,7 +675,7 @@ std::optional<VerifierError> Checker::do_store(State& s, const Insn& insn) {
     if (auto e = check_reg_init(s, insn.src, pc)) return e;
     src_val = s.regs[insn.src];
   } else {
-    src_val = Reg::scalar_const(sext_imm(insn.imm));
+    src_val = Reg::scalar_const(sext_imm64(insn.imm));
   }
 
   const Reg& ptr = s.regs[insn.dst];
@@ -874,10 +829,7 @@ std::optional<VerifierError> Checker::helper_mem_arg(State& s, const Reg& mem,
 
 std::optional<VerifierError> Checker::do_call(State& s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
-  if (helpers_ == nullptr) return err(pc, "no helpers registered");
-  const HelperProto* proto = helpers_->proto(insn.imm);
-  if (proto == nullptr)
-    return err(pc, "call to unknown helper " + std::to_string(insn.imm));
+  const HelperProto* proto = helpers_->proto(insn.imm);  // decode resolved it
   const std::uint8_t type_bit = [&] {
     switch (type_) {
       case ProgType::kLwtIn: return kProgLwtIn;
@@ -1107,7 +1059,7 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
   // Scalar vs scalar/immediate with unsigned range refinement (64-bit only;
   // JMP32 falls back to exploring both branches unrefined).
   std::optional<std::uint64_t> k;
-  if (!insn.uses_reg_src()) k = sext_imm(insn.imm);
+  if (!insn.uses_reg_src()) k = sext_imm64(insn.imm);
   else if (src_reg->is_const()) k = src_reg->umin;
 
   State taken = s, fall = s;
@@ -1171,21 +1123,20 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
 // ---------------------------------------------------------------------------
 
 VerifyResult Checker::run() {
+  DecodeResult decoded = decode_program(insns_, helpers_);
+  std::optional<VerifierError> e;
+  if (!decoded.ok()) e = err(decoded.error_insn, decoded.error);
+  if (!e) e = check_cfg();
+  if (!e) e = explore();
   VerifyResult result;
-  if (auto e = check_cfg()) {
+  result.stats = stats_;
+  if (e) {
     result.error = e->msg;
     result.error_insn = e->insn;
-    result.stats = stats_;
-    return result;
-  }
-  if (auto e = explore()) {
-    result.error = e->msg;
-    result.error_insn = e->insn;
-    result.stats = stats_;
     return result;
   }
   result.ok = true;
-  result.stats = stats_;
+  result.decoded = std::move(decoded.prog);
   return result;
 }
 
@@ -1193,7 +1144,7 @@ VerifyResult Checker::run() {
 
 VerifyResult Verifier::verify(const std::vector<Insn>& insns,
                               ProgType type) const {
-  Checker checker(insns, type, maps_, helpers_, opts_);
+  Checker checker(insns, type, maps_, helpers_);
   return checker.run();
 }
 

@@ -15,28 +15,28 @@
 //     pointers are null-checked before use, and helpers that can reallocate
 //     the packet invalidate previously derived packet pointers.
 //
-// Implementation: explicit-state symbolic execution over the instruction
-// DAG with optional state pruning (identical-state deduplication per
-// instruction). The DAG property bounds the exploration; a visited-state
-// budget rejects pathological programs as "too complex", like the kernel.
+// Implementation: decode_program (ebpf/decode.h) runs first and judges the
+// encoding of every instruction, reachable or not: opcodes, registers,
+// jump targets, ld_imm64 pairs, helper ids, program size. Then a DFS proves
+// the CFG a DAG with no unreachable instruction, and explicit-state
+// symbolic execution walks it with state pruning (identical-state
+// deduplication at jump targets and every eighth instruction). The DAG
+// property bounds the exploration; a visited-state budget rejects
+// pathological programs as "too complex", like the kernel.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "ebpf/decode.h"
 #include "ebpf/helpers.h"
 #include "ebpf/insn.h"
 #include "ebpf/map.h"
 #include "ebpf/program.h"
 
 namespace srv6bpf::ebpf {
-
-struct VerifyOptions {
-  bool enable_pruning = true;
-  // Upper bound on symbolic states processed before giving up.
-  std::size_t max_states = 200000;
-};
 
 struct VerifyStats {
   std::size_t states_visited = 0;
@@ -49,14 +49,16 @@ struct VerifyResult {
   std::string error;     // empty on success
   int error_insn = -1;   // instruction index the error refers to
   VerifyStats stats;
+  // The decoded form of the program just proved safe; null on rejection.
+  // BpfSystem::load hands it to the engines, so a load decodes once.
+  std::shared_ptr<const DecodedProgram> decoded;
 };
 
 class Verifier {
  public:
   // `maps` resolves pseudo map-fd loads; `helpers` provides call prototypes.
-  Verifier(const MapRegistry* maps, const HelperRegistry* helpers,
-           VerifyOptions opts = {})
-      : maps_(maps), helpers_(helpers), opts_(opts) {}
+  Verifier(const MapRegistry* maps, const HelperRegistry* helpers)
+      : maps_(maps), helpers_(helpers) {}
 
   VerifyResult verify(const Program& prog) const;
   VerifyResult verify(const std::vector<Insn>& insns, ProgType type) const;
@@ -64,7 +66,6 @@ class Verifier {
  private:
   const MapRegistry* maps_;
   const HelperRegistry* helpers_;
-  VerifyOptions opts_;
 };
 
 }  // namespace srv6bpf::ebpf

@@ -21,12 +21,11 @@ BpfSystem::LoadResult BpfSystem::load(std::string name, ProgType type,
   result.verify = verifier.verify(prog);
   if (!result.verify.ok) return result;
 
-  prog.set_verified();
-  // Decode once (jump targets, fused ld_imm64, resolved helpers), then emit
-  // native machine code where the host supports it. Emission is
-  // best-effort: without it the program runs on the interpreter, which
-  // shares the same decoded form.
-  auto decoded = decode_program(prog, &helpers_);
+  // The engines run the decoded form the verifier proved (jump targets,
+  // fused ld_imm64, resolved helpers). Native code is emitted from it where
+  // the host supports it; without it the program runs on the interpreter,
+  // which shares the same decoded form.
+  std::shared_ptr<const DecodedProgram> decoded = result.verify.decoded;
   std::shared_ptr<const NativeCode> native;
   if (native_jit_available()) native = compile_native(*decoded, nullptr);
   if (log_loads_) {

@@ -104,9 +104,9 @@ class BpfSystem {
     bool ok() const noexcept { return prog != nullptr; }
   };
 
-  // Verify, decode once, then emit native code where the host supports it.
-  // On verifier rejection returns a null handle and the verifier
-  // diagnostics.
+  // Decode, verify, then emit native code where the host supports it. On
+  // rejection returns a null handle and the verifier diagnostics; a
+  // malformed instruction stream is a rejection too, never an exception.
   LoadResult load(std::string name, ProgType type, std::vector<Insn> insns,
                   std::size_t sloc_hint = 0);
 

@@ -10,9 +10,16 @@
 // extension shows up here long before it would surface in a paper-figure
 // bench). On hosts without native support the JIT-on run falls back to the
 // interpreter, keeping the test green as a two-way comparison.
+//
+// A second test mutates the generated programs field by field and attacks
+// the loader: no mutant may make BpfSystem::load throw, and every mutant it
+// accepts must run cleanly on the oracle and agree with the native code,
+// which trusts the verifier's proof for its unchecked loads and stores.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -20,6 +27,7 @@
 #include "ebpf/disasm.h"
 #include "ebpf/helpers.h"
 #include "ebpf/map.h"
+#include "ebpf/skb.h"
 #include "ebpf/vm.h"
 #include "engine_oracle.h"
 #include "util/rng.h"
@@ -30,6 +38,9 @@ namespace {
 constexpr int kWantedPrograms = 1000;
 constexpr int kMaxAttempts = 4000;
 constexpr std::uint32_t kMapEntries = 16;
+constexpr int kMutants = 100000;
+constexpr int kMutantsPerProgram = 30;
+constexpr int kWantedJitChecks = 10000;
 
 // Registers the generator uses as general-purpose scalars. All are
 // initialised by the preamble so any gadget may read any of them.
@@ -259,6 +270,48 @@ std::string dump_program(const std::vector<Insn>& insns) {
 // and the oracle called directly.
 enum class Exec { kJitOn, kJitOff, kOracle };
 
+// Runs a program loaded into `sys` (whose map 1 is the generator's array)
+// from zeroed map values, a fixed clock and prandom stream and a real skb
+// context, so every execution of one program starts from the same state.
+EngineObservation observe(Exec exec, BpfSystem& sys,
+                          const LoadedProgram& prog) {
+  Map* map = sys.maps().get(1);
+  for (std::uint32_t k = 0; k < kMapEntries; ++k)
+    std::memset(map->lookup({reinterpret_cast<const std::uint8_t*>(&k), 4}),
+                0, 8);
+  sys.set_jit_enabled(exec == Exec::kJitOn);
+
+  std::array<std::uint8_t, 64> pkt{};
+  for (std::size_t i = 0; i < pkt.size(); ++i)
+    pkt[i] = static_cast<std::uint8_t>(i * 7);
+  SkbCtx skb;
+  skb.data = reinterpret_cast<std::uint64_t>(pkt.data());
+  skb.data_end = skb.data + pkt.size();
+  skb.len = pkt.size();
+  skb.protocol = kEthPIpv6Be;
+  const auto ctx = reinterpret_cast<std::uint64_t>(&skb);
+
+  ExecEnv env;
+  std::uint64_t tick = 1000;
+  std::uint32_t prand = 0x12345678;
+  env.now_ns = [&tick] { return tick += 10; };
+  env.prandom = [&prand] { return prand = prand * 1664525u + 1013904223u; };
+  env.regions.push_back({ctx, sizeof skb, true});
+  env.regions.push_back({skb.data, pkt.size(), false});
+  EngineObservation obs;
+  obs.exec = exec == Exec::kOracle ? run_oracle(sys, prog, env, ctx)
+                                   : sys.run(prog, env, ctx);
+
+  for (std::uint32_t k = 0; k < kMapEntries; ++k) {
+    std::uint64_t value = 0;
+    std::memcpy(&value,
+                map->lookup({reinterpret_cast<const std::uint8_t*>(&k), 4}),
+                8);
+    obs.map_values.push_back(value);
+  }
+  return obs;
+}
+
 EngineObservation run_on(Exec exec, const std::vector<Insn>& insns) {
   BpfSystem sys;
   const MapDef def{MapType::kArray, 4, 8, kMapEntries, "m"};
@@ -266,32 +319,13 @@ EngineObservation run_on(Exec exec, const std::vector<Insn>& insns) {
   EXPECT_EQ(map_id, 1u);  // generator hardcodes the first registry id
 
   auto load = sys.load("diff", ProgType::kLwtSeg6Local, insns);
-  EngineObservation obs;
   if (!load.ok()) {
+    EngineObservation obs;
     obs.exec.aborted = true;
     obs.exec.error = "verifier: " + load.verify.error;
     return obs;
   }
-  sys.set_jit_enabled(exec == Exec::kJitOn);
-
-  ExecEnv env;
-  std::uint64_t tick = 1000;
-  std::uint32_t prand = 0x12345678;
-  env.now_ns = [&tick] { return tick += 10; };
-  env.prandom = [&prand] { return prand = prand * 1664525u + 1013904223u; };
-  obs.exec = exec == Exec::kOracle ? run_oracle(sys, *load.prog, env, 0)
-                                   : sys.run(*load.prog, env, 0);
-
-  Map* map = sys.maps().get(map_id);
-  for (std::uint32_t k = 0; k < kMapEntries; ++k) {
-    std::uint8_t key[4];
-    std::memcpy(key, &k, 4);
-    const std::uint8_t* v = map->lookup({key, 4});
-    std::uint64_t value = 0;
-    if (v != nullptr) std::memcpy(&value, v, 8);
-    obs.map_values.push_back(value);
-  }
-  return obs;
+  return observe(exec, sys, *load.prog);
 }
 
 TEST(Differential, EnginesAgreeOnRandomPrograms) {
@@ -333,6 +367,87 @@ TEST(Differential, EnginesAgreeOnRandomPrograms) {
   // The generator is tuned so nearly every program verifies; if this drops
   // below the target the generator regressed, not the engines.
   EXPECT_GE(verified, kWantedPrograms);
+}
+
+// One field edit: off, imm, src, dst or one opcode bit. Registers stay in
+// r0-r10: decode checks a register number only where the instruction reads
+// it, the oracle on every slot.
+void mutate_field(Rng& rng, Insn& insn) {
+  static constexpr std::int32_t kEdgeImms[] = {
+      0, 1, 8, 16, 32, 63, 64, -1, helper::KTIME_GET_NS,
+      helper::SKB_LOAD_BYTES, 4242};
+  switch (rng.uniform(0, 4)) {
+    case 0:
+      insn.off = static_cast<std::int16_t>(
+          rng.chance(0.5) ? insn.off + static_cast<int>(rng.uniform(0, 16)) - 8
+                          : static_cast<int>(rng.next_u32()));
+      break;
+    case 1:
+      insn.imm = rng.chance(0.5)
+                     ? insn.imm ^ static_cast<std::int32_t>(
+                                      1u << rng.uniform(0, 31))
+                     : kEdgeImms[rng.uniform(0, std::size(kEdgeImms) - 1)];
+      break;
+    case 2: insn.src = static_cast<std::uint8_t>(rng.uniform(0, 10)); break;
+    case 3: insn.dst = static_cast<std::uint8_t>(rng.uniform(0, 10)); break;
+    default:
+      insn.opcode ^= static_cast<std::uint8_t>(1u << rng.uniform(0, 7));
+  }
+}
+
+TEST(Differential, MutantsNeverThrowAndAcceptedOnesRunLikeTheOracle) {
+  Rng rng(0x6d7574616e7473ull);
+  BpfSystem sys;
+  const MapDef def{MapType::kArray, 4, 8, kMapEntries, "m"};
+  const std::uint32_t map_id = sys.maps().create(def);
+
+  // Violations of the three oracles, each with the first offending program.
+  int thrown = 0, faulted = 0, diverged = 0;
+  std::string first_thrown, first_faulted, first_diverged;
+  int accepted = 0;
+  std::vector<Insn> base;
+  for (int m = 0; m < kMutants; ++m) {
+    if (m % kMutantsPerProgram == 0) base = generate(rng, map_id);
+    // Half the edits after the first stay on the slot just edited, so that
+    // compound encodings (an opcode with a matching imm) occur as well.
+    std::vector<Insn> insns = base;
+    std::size_t slot = rng.uniform(0, insns.size() - 1);
+    for (int e = static_cast<int>(rng.uniform(1, 3)); e > 0; --e) {
+      mutate_field(rng, insns[slot]);
+      if (rng.chance(0.5)) slot = rng.uniform(0, insns.size() - 1);
+    }
+
+    // (a) load never throws.
+    BpfSystem::LoadResult load;
+    try {
+      load = sys.load("mutant", ProgType::kLwtSeg6Local, insns);
+    } catch (const std::exception& e) {
+      if (thrown++ == 0) first_thrown = e.what() + ("\n" + disasm(insns));
+      continue;
+    }
+    if (!load.ok()) continue;
+    ++accepted;
+
+    // (b) every accepted mutant runs on the oracle without a fault.
+    const EngineObservation oracle = observe(Exec::kOracle, sys, *load.prog);
+    if (!oracle.exec.ok() && faulted++ == 0)
+      first_faulted = oracle.exec.error + "\n" + disasm(insns);
+
+    // (c) the native code agrees with the oracle.
+    const EngineObservation jit_on = observe(Exec::kJitOn, sys, *load.prog);
+    if ((jit_on.exec.ok() != oracle.exec.ok() ||
+         jit_on.exec.ret != oracle.exec.ret ||
+         jit_on.exec.insns_executed != oracle.exec.insns_executed ||
+         jit_on.exec.helper_calls != oracle.exec.helper_calls ||
+         jit_on.map_values != oracle.map_values) &&
+        diverged++ == 0)
+      first_diverged = jit_on.exec.error + " vs oracle " + oracle.exec.error +
+                       "\n" + disasm(insns);
+  }
+  EXPECT_EQ(thrown, 0) << first_thrown;
+  EXPECT_EQ(faulted, 0) << first_faulted;
+  EXPECT_EQ(diverged, 0) << first_diverged;
+  EXPECT_GE(accepted, kWantedJitChecks);
 }
 
 }  // namespace

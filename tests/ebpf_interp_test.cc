@@ -376,7 +376,10 @@ TEST(Decode, RejectsRegSrcNeg) {
       {BPF_JMP | BPF_EXIT, 0, 0, 0, 0},
   };
   HelperRegistry helpers;
-  EXPECT_THROW(decode_program(insns, &helpers), std::logic_error);
+  const DecodeResult r = decode_program(insns, &helpers);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error_insn, 1);
+  EXPECT_NE(r.error.find("BPF_NEG"), std::string::npos) << r.error;
 }
 
 TEST(Decode, RejectsFallOffTheEnd) {
@@ -384,7 +387,10 @@ TEST(Decode, RejectsFallOffTheEnd) {
       {static_cast<std::uint8_t>(BPF_ALU64 | BPF_MOV | BPF_K), 0, 0, 0, 5},
   };
   HelperRegistry helpers;
-  EXPECT_THROW(decode_program(insns, &helpers), std::logic_error);
+  const DecodeResult r = decode_program(insns, &helpers);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error_insn, 0);
+  EXPECT_NE(r.error.find("falls off the end"), std::string::npos) << r.error;
 }
 
 TEST(Decode, FusesLdImm64AndRewritesJumpTargets) {
@@ -394,7 +400,8 @@ TEST(Decode, FusesLdImm64AndRewritesJumpTargets) {
       .mov64_imm(R0, 1)
       .label("done")
       .exit_();
-  const auto prog = decode_program(a.build(), nullptr);
+  const auto prog = decode_program(a.build(), nullptr).prog;
+  ASSERT_NE(prog, nullptr);
   // 5 slots collapse to 4 ops; the jump target is an absolute op index past
   // the fused ld_imm64.
   ASSERT_EQ(prog->size(), 4u);

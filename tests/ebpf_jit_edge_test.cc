@@ -354,7 +354,8 @@ std::uint64_t map_slot0(BpfSystem& sys, std::uint32_t map_id) {
 // host cannot emit native code.
 LoadedProgram without_native(BpfSystem& sys, const LoadedProgram& prog) {
   return LoadedProgram(prog.program(),
-                       decode_program(prog.program(), &sys.helpers()),
+                       decode_program(prog.program().insns(), &sys.helpers())
+                           .prog,
                        nullptr);
 }
 

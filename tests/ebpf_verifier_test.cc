@@ -3,11 +3,18 @@
 // plus an expectation about acceptance or the rejection reason.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "ebpf/asm.h"
+#include "ebpf/decode.h"
 #include "ebpf/helpers.h"
+#include "ebpf/interp.h"
 #include "ebpf/map.h"
 #include "ebpf/perf_event.h"
 #include "ebpf/verifier.h"
+#include "ebpf/vm.h"
 #include "seg6/helpers.h"
 
 namespace srv6bpf::ebpf {
@@ -356,6 +363,14 @@ TEST_F(VerifierTest, UnboundedPacketOffsetRejected) {
   expect_reject(a, "unbounded");
 }
 
+TEST_F(VerifierTest, PartialPointerCopyRejected) {
+  // A 32-bit move would turn the frame pointer's low half into a scalar
+  // that a map could then hold.
+  Asm a;
+  a.mov32_reg(R0, R10).exit_();
+  expect_reject(a, "partial copy of pointer");
+}
+
 TEST_F(VerifierTest, PointerMultiplicationRejected) {
   Asm a;
   a.mov64_reg(R2, R10).mul64_imm(R2, 2).mov64_imm(R0, 0).exit_();
@@ -579,6 +594,148 @@ TEST_F(VerifierTest, StatsReportPruning) {
   const auto r = verify(a);
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_GT(r.stats.states_pruned, 0u);
+}
+
+// ---- Must-reject encodings ----------------------------------------------------
+//
+// test_verifier-style table: an instruction sequence and the text its
+// rejection must contain. Decode judges every slot before the symbolic walk,
+// so each case is rejected on a straight line and equally behind
+// `mov r0,0; jeq r0,0,+n`, whose fall-through the walk proves infeasible and
+// never visits.
+
+constexpr std::uint8_t kModeAbs = 0x20;   // BPF_ABS
+constexpr std::uint8_t kModeInd = 0x40;   // BPF_IND
+constexpr std::uint8_t kModeXadd = 0xc0;  // BPF_XADD
+
+struct MustReject {
+  std::string descr;
+  std::vector<Insn> insns;
+  std::string errstr;
+  int bad_slot = 0;  // offending slot within `insns`
+};
+
+std::vector<MustReject> must_reject_table() {
+  std::vector<MustReject> t;
+  // Opcodes outside the ISA: unknown ALU and JMP operations, JA/CALL/EXIT
+  // with the X bit or in JMP32, and BPF_END in ALU64 (not in Linux 4.18).
+  for (const int code : {0xe4, 0xe7, 0xec, 0xef, 0xf4, 0xf7, 0xfc, 0xff,
+                         0xe5, 0xe6, 0xed, 0xee, 0xf5, 0xf6, 0xfd, 0xfe,
+                         0x06, 0x0d, 0x0e, 0x86, 0x8d, 0x8e, 0x96, 0x9d,
+                         0x9e, 0xd7, 0xdf}) {
+    char descr[32];
+    std::snprintf(descr, sizeof descr, "opcode 0x%02x", code);
+    t.push_back({descr,
+                 {{static_cast<std::uint8_t>(code), R2, R3, 0, 16}},
+                 "unknown opcode"});
+  }
+  t.push_back({"byteswap width 8",
+               {{BPF_ALU | BPF_END | BPF_TO_BE, R2, 0, 0, 8}},
+               "bad byteswap width"});
+  t.push_back({"BPF_NEG with BPF_X",
+               {{BPF_ALU64 | BPF_NEG | BPF_X, R2, R3, 0, 0}},
+               "BPF_NEG with register source"});
+  t.push_back({"BPF_LD|BPF_ABS",
+               {{BPF_LD | BPF_W | kModeAbs, 0, 0, 0, 0}},
+               "unsupported BPF_LD mode"});
+  t.push_back({"BPF_LD|BPF_IND",
+               {{BPF_LD | BPF_W | kModeInd, 0, R3, 0, 0}},
+               "unsupported BPF_LD mode"});
+  t.push_back({"BPF_LDX|BPF_ABS",
+               {{BPF_LDX | BPF_DW | kModeAbs, R2, R10, -8, 0}},
+               "unsupported LDX mode"});
+  t.push_back({"BPF_STX|BPF_XADD",
+               {{BPF_STX | BPF_DW | kModeXadd, R10, R2, -8, 0}},
+               "unsupported store mode"});
+  t.push_back({"ld_imm64 second slot with an opcode",
+               {{BPF_LD | BPF_DW | BPF_IMM, R2, 0, 0, 1},
+                {BPF_ALU64 | BPF_MOV | BPF_K, R0, 0, 0, 0}},
+               "second slot must have opcode 0",
+               1});
+  t.push_back({"ld_imm64 pseudo src 2",
+               {{BPF_LD | BPF_DW | BPF_IMM, R2, 2, 0, 1}, {0, 0, 0, 0, 0}},
+               "unknown ld_imm64 pseudo source"});
+  t.push_back({"unknown helper id",
+               {{BPF_JMP | BPF_CALL, 0, 0, 0, 4242}},
+               "unknown helper"});
+  return t;
+}
+
+TEST_F(VerifierTest, MustRejectTableRejectedOnEveryPath) {
+  for (const MustReject& c : must_reject_table()) {
+    for (const bool infeasible : {false, true}) {
+      SCOPED_TRACE(c.descr + (infeasible ? " behind an infeasible branch"
+                                         : " on a straight line"));
+      Asm a;
+      a.mov64_imm(R0, 0).mov64_imm(R2, 1).mov64_imm(R3, 1);
+      if (infeasible)
+        a.raw({BPF_JMP | BPF_JEQ | BPF_K, R0, 0,
+               static_cast<std::int16_t>(c.insns.size()), 0});
+      const int at = static_cast<int>(a.build().size()) + c.bad_slot;
+      for (const Insn& insn : c.insns) a.raw(insn);
+      a.mov64_imm(R0, 0).exit_();
+
+      const VerifyResult r = verify(a);
+      EXPECT_FALSE(r.ok);
+      EXPECT_NE(r.error.find(c.errstr), std::string::npos) << r.error;
+      EXPECT_EQ(r.error_insn, at) << r.error;
+    }
+  }
+}
+
+// Every opcode byte, with src 0 or 1 and imm 0, 16, 32 or 64, as the one
+// instruction under test of a straight-line program. Where the opcode has
+// operands they are valid (r0-r3 scalars, or pointers to the written stack
+// slot fp-8 for memory classes), so the oracle can fault only on the
+// encoding itself: it must run exactly the programs decode accepts.
+TEST(IsaTable, EveryOpcodeLoadsWithoutThrowingAndDecodeMatchesTheOracle) {
+  BpfSystem sys;
+  int decoded = 0, loaded = 0;
+  for (int code = 0; code < 256; ++code) {
+    for (const std::uint8_t src : {0, 1}) {
+      for (const std::int32_t imm : {0, 16, 32, 64}) {
+        Insn insn{static_cast<std::uint8_t>(code), R2, src, 0, imm};
+        Asm a;
+        a.mov64_imm(R0, 3).mov64_imm(R1, 5).mov64_imm(R2, 7).mov64_imm(R3, 9);
+        a.st(BPF_DW, R10, -8, 0);
+        if (insn.insn_class() == BPF_LDX) {  // load fp-8 through r0 or r1
+          a.mov64_reg(R0, R10).mov64_reg(R1, R10);
+          insn.off = -8;
+        } else if (insn.insn_class() == BPF_ST ||
+                   insn.insn_class() == BPF_STX) {  // store to fp-8
+          insn.dst = R10;
+          insn.off = -8;
+        }
+        a.raw(insn);
+        if (insn.is_ld_imm64()) a.raw({0, 0, 0, 0, 0});
+        a.mov64_imm(R0, 0).exit_();
+        const std::vector<Insn> insns = a.build();
+        SCOPED_TRACE(disasm(insn) + " src=" + std::to_string(src) +
+                     " imm=" + std::to_string(imm));
+
+        BpfSystem::LoadResult load;
+        ASSERT_NO_THROW(
+            load = sys.load("sweep", ProgType::kLwtSeg6Local, insns));
+        const DecodeResult dec = decode_program(insns, &sys.helpers());
+        if (load.ok()) {
+          EXPECT_TRUE(dec.ok()) << dec.error;
+        }
+
+        ExecEnv env;
+        env.maps = &sys.maps();
+        env.helpers = &sys.helpers();
+        const ExecResult oracle = Interpreter{}.run(
+            Program("sweep", ProgType::kLwtSeg6Local, insns), env, 0);
+        EXPECT_EQ(dec.ok(), oracle.ok())
+            << "decode: " << dec.error << "; oracle: " << oracle.error;
+        decoded += dec.ok();
+        loaded += load.ok();
+      }
+    }
+  }
+  // Both outcomes occur: the sweep is not vacuous.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(decoded, loaded);
 }
 
 }  // namespace
