@@ -127,8 +127,13 @@ DecodeResult decode_program(const std::vector<Insn>& insns,
       op_index[i] = next++;
       if (insns[i].is_ld_imm64()) {
         if (i + 1 >= n) return fail(i, "ld_imm64 missing second slot");
-        if (insns[i + 1].opcode != 0)
+        const Insn& aux = insns[i + 1];
+        if (aux.opcode != 0)
           return fail(i + 1, "ld_imm64 second slot must have opcode 0");
+        // Only imm (the high half) is meaningful; the kernel rejects the
+        // rest as reserved.
+        if (aux.dst != 0 || aux.src != 0 || aux.off != 0)
+          return fail(i + 1, "invalid bpf_ld_imm64 insn");
         is_aux[++i] = true;
       }
     }
@@ -148,11 +153,13 @@ DecodeResult decode_program(const std::vector<Insn>& insns,
     op.off = insn.off;
     op.imm = insn.imm;
     if (op.kind == kBadOp) return fail(at, bad_opcode(insn.opcode));
+    // Register fields are judged in every slot, read or not, as the
+    // reference interpreter faults on any out-of-range register number.
     if (insn.dst >= kNumRegs)
       return fail(at, "destination register out of range");
+    if (insn.src >= kNumRegs) return fail(at, "source register out of range");
 
     const std::uint8_t cls = insn.insn_class();
-    bool src_is_reg = false;
     switch (cls) {
       case BPF_ALU64:
       case BPF_ALU:
@@ -160,9 +167,7 @@ DecodeResult decode_program(const std::vector<Insn>& insns,
           if (insn.imm != 16 && insn.imm != 32 && insn.imm != 64)
             return fail(at, "bad byteswap width");
           op.kind += insn.imm == 16 ? 0 : insn.imm == 32 ? 1 : 2;
-        } else if (insn.uses_reg_src()) {
-          src_is_reg = true;
-        } else if (insn.alu_op() != BPF_NEG) {
+        } else if (!insn.uses_reg_src() && insn.alu_op() != BPF_NEG) {
           op.imm64 = cls == BPF_ALU64 ? sext_imm64(insn.imm)
                                       : static_cast<std::uint32_t>(insn.imm);
         }
@@ -182,10 +187,8 @@ DecodeResult decode_program(const std::vector<Insn>& insns,
         ++i;  // skip aux slot
         break;
       case BPF_LDX:
-      case BPF_STX:
-        src_is_reg = true;
-        break;
       case BPF_ST:
+      case BPF_STX:
         break;
       default: {  // BPF_JMP, BPF_JMP32
         if (op.kind == kExit) break;
@@ -203,14 +206,9 @@ DecodeResult decode_program(const std::vector<Insn>& insns,
         if (is_aux[t]) return fail(at, "jump into the middle of ld_imm64");
         op.target = op_index[t];
         if (op.kind == kJa) break;
-        if (insn.uses_reg_src())
-          src_is_reg = true;
-        else
-          op.imm64 = sext_imm64(insn.imm);
+        if (!insn.uses_reg_src()) op.imm64 = sext_imm64(insn.imm);
       }
     }
-    if (src_is_reg && insn.src >= kNumRegs)
-      return fail(at, "source register out of range");
     // Fetch safety: the engines never bounds-check the decoded pc, so no op
     // may fall through (or conditionally fall through) past the end. (`i`
     // already points at the aux slot for a fused ld_imm64.)

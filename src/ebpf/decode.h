@@ -122,8 +122,8 @@ struct DecodeResult {
 
 // Translates a raw instruction stream, or says why it is not a program:
 // empty or longer than kMaxInsns; an opcode outside the table; a bad
-// byteswap width, ld_imm64 second slot or pseudo source; a register out of
-// range; a jump outside the program or into an ld_imm64 pair; control
+// byteswap width, ld_imm64 second slot or pseudo source; a register field
+// out of range in any slot, read or not; a jump outside the program or into an ld_imm64 pair; control
 // falling off the end; an unresolvable helper. A decoded program is
 // therefore *fetch-safe*; memory safety of its loads and stores is the
 // verifier's proof (native code) or the interpreter's runtime checks.

@@ -38,38 +38,14 @@ BpfSystem::LoadResult BpfSystem::load(std::string name, ProgType type,
   return result;
 }
 
-void BpfSystem::bind_env(ExecEnv& env) const {
+ExecResult BpfSystem::run(const LoadedProgram& prog, ExecEnv& env,
+                          std::uint64_t ctx) const {
   if (env.maps == nullptr) env.maps = const_cast<MapRegistry*>(&maps_);
   if (env.helpers == nullptr)
     env.helpers = const_cast<HelperRegistry*>(&helpers_);
-}
-
-ExecResult BpfSystem::run(const LoadedProgram& prog, ExecEnv& env,
-                          std::uint64_t ctx) const {
-  bind_env(env);
   if (jit_enabled_)
     if (const NativeCode* nc = prog.native()) return nc->run(env, ctx);
   return interp_.run(prog.decoded(), env, ctx);
-}
-
-void LoadedProgram::run_burst(
-    const BpfSystem& sys, ExecEnv& env, std::span<BurstInvocation> batch,
-    util::FunctionRef<void(std::size_t)> prep) const {
-  if (batch.empty()) return;
-  // Engine choice and env binding are loop-invariant: pay them once per
-  // burst instead of once per packet.
-  sys.bind_env(env);
-  if (const NativeCode* nc = sys.jit_enabled() ? native() : nullptr) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (prep) prep(i);
-      batch[i].result = nc->run(env, batch[i].ctx);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (prep) prep(i);
-    batch[i].result = sys.interp_.run(decoded(), env, batch[i].ctx);
-  }
 }
 
 }  // namespace srv6bpf::ebpf

@@ -9,9 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -23,18 +21,8 @@
 #include "ebpf/map.h"
 #include "ebpf/program.h"
 #include "ebpf/verifier.h"
-#include "util/function_ref.h"
 
 namespace srv6bpf::ebpf {
-
-class BpfSystem;
-
-// One program invocation inside a burst run: the ctx argument handed to the
-// program and the slot its result lands in.
-struct BurstInvocation {
-  std::uint64_t ctx = 0;
-  ExecResult result;
-};
 
 // A verified, loaded program: its instructions, their decode-once form and,
 // when the host could emit it, the native machine code.
@@ -51,21 +39,8 @@ class LoadedProgram {
   ProgType type() const noexcept { return prog_.type(); }
   const DecodedProgram& decoded() const noexcept { return *decoded_; }
   // Emitted x86-64 code, or null when the host could not emit any (then
-  // even a JIT-enabled system runs the interpreter). A raw pointer so hot
-  // dispatch paths resolve the code object once per run or burst instead of
-  // re-chasing the shared_ptr at every layer.
+  // even a JIT-enabled system runs the interpreter).
   const NativeCode* native() const noexcept { return native_.get(); }
-
-  // Runs this program over a vector of invocations under `sys`'s JIT
-  // setting, resolving the engine and env binding once for the whole
-  // burst. `env` is shared across the burst; `prep(i)`, when provided, is
-  // called immediately before slot i to retarget env/ctx at packet i (and is
-  // where callers harvest per-packet state left behind by slot i-1). The
-  // hook is a non-owning FunctionRef: it must outlive the call, and costs
-  // no allocation per burst.
-  void run_burst(const BpfSystem& sys, ExecEnv& env,
-                 std::span<BurstInvocation> batch,
-                 util::FunctionRef<void(std::size_t)> prep = {}) const;
 
  private:
   Program prog_;
@@ -116,10 +91,6 @@ class BpfSystem {
                  std::uint64_t ctx) const;
 
  private:
-  friend class LoadedProgram;  // run_burst binds env once per burst
-
-  void bind_env(ExecEnv& env) const;
-
   static bool log_loads_default() noexcept;  // SRV6BPF_LOG_LOADS env var
 
   MapRegistry maps_;

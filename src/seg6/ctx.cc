@@ -1,9 +1,7 @@
 #include "seg6/ctx.h"
 
-#include <algorithm>
-#include <array>
+#include <utility>
 
-#include "net/burst.h"
 #include "seg6/helpers.h"
 #include "seg6/seg6local.h"
 
@@ -48,12 +46,19 @@ Netns::BpfRunResult Netns::run_prog(const ebpf::LoadedProgram& prog,
                                     net::Packet& pkt, ProcessTrace* trace) {
   Seg6BurstRunner runner(*this, prog);
   runner.prepare(pkt, trace);
-
   BpfRunResult out;
   out.exec = bpf_.run(prog, runner.env(), runner.ctx_addr());
-  runner.harvest();
-  runner.account(trace, out.exec);
-  out.ctx = runner.ctx();  // callers read the per-packet flags
+  out.verdict = runner.harvest();
+  if (trace != nullptr) {
+    ++trace->bpf_runs;
+    trace->helper_calls += out.exec.helper_calls;
+    // Keyed on the switch, not on the code that ran: a JIT-enabled program
+    // without native code still bills the bpf_jit_enable=1 bucket.
+    if (bpf_.jit_enabled())
+      trace->bpf_insns_jit += out.exec.insns_executed;
+    else
+      trace->bpf_insns_interp += out.exec.insns_executed;
+  }
   return out;
 }
 
@@ -90,45 +95,6 @@ void Seg6BurstRunner::prepare(net::Packet& pkt, ProcessTrace* trace) {
 Seg6BurstRunner::Verdict Seg6BurstRunner::harvest() {
   ctx_.pkt->mark = ctx_.skb.mark;  // writable ctx field propagates back
   return Verdict{ctx_.srh_dirty, ctx_.packet_replaced, ctx_.dst_set};
-}
-
-void Seg6BurstRunner::account(ProcessTrace* trace,
-                              const ebpf::ExecResult& exec) const {
-  if (trace == nullptr) return;
-  ++trace->bpf_runs;
-  trace->helper_calls += exec.helper_calls;
-  // Keyed on the switch, not on the code that ran: a JIT-enabled program
-  // without native code still bills the bpf_jit_enable=1 bucket.
-  if (ns_.bpf().jit_enabled())
-    trace->bpf_insns_jit += exec.insns_executed;
-  else
-    trace->bpf_insns_interp += exec.insns_executed;
-}
-
-void run_prog_over_burst(Netns& ns, const ebpf::LoadedProgram& prog,
-                         std::span<net::Packet* const> pkts,
-                         ProcessTrace* const* traces,
-                         BurstPerPacketFn per_packet) {
-  const std::size_t n = pkts.size();
-  std::size_t base = 0;
-  while (base < n) {
-    const std::size_t m = std::min(n - base, net::kMaxBurstPackets);
-    Seg6BurstRunner runner(ns, prog);
-    std::array<ebpf::BurstInvocation, net::kMaxBurstPackets> inv;
-    std::array<Seg6BurstRunner::Verdict, net::kMaxBurstPackets> flags;
-    for (std::size_t k = 0; k < m; ++k) inv[k].ctx = runner.ctx_addr();
-    prog.run_burst(ns.bpf(), runner.env(), {inv.data(), m},
-                   [&](std::size_t k) {
-                     if (k > 0) flags[k - 1] = runner.harvest();
-                     runner.prepare(*pkts[base + k], traces[base + k]);
-                   });
-    flags[m - 1] = runner.harvest();
-    for (std::size_t k = 0; k < m; ++k) {
-      runner.account(traces[base + k], inv[k].result);
-      per_packet(base + k, inv[k].result, flags[k]);
-    }
-    base += m;
-  }
 }
 
 }  // namespace srv6bpf::seg6

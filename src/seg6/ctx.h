@@ -12,7 +12,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "ebpf/exec.h"
@@ -24,6 +23,7 @@
 
 namespace srv6bpf::seg6 {
 
+class Netns;
 class Seg6LocalTable;
 
 // What the forwarding pipeline should do next with a packet.
@@ -82,6 +82,44 @@ struct Seg6ProgCtx {
   void refresh_packet_view();
 };
 
+// Builds the SkbCtx + ExecEnv (clock and prandom closures, memory-region
+// list) that an SRv6 program runs against, and retargets them at a packet.
+// Netns::run_prog makes one per invocation; a caller that replays several
+// packets through one program (perfbench's probe) may reuse one.
+//
+// Protocol per packet: prepare() -> run the program with env() and
+// ctx_addr() -> harvest(). harvest() must run before the next prepare(): it
+// writes the writable ctx fields (skb->mark) back to the current packet and
+// returns the per-packet helper flags.
+class Seg6BurstRunner {
+ public:
+  Seg6BurstRunner(Netns& ns, const ebpf::LoadedProgram& prog);
+  Seg6BurstRunner(const Seg6BurstRunner&) = delete;
+  Seg6BurstRunner& operator=(const Seg6BurstRunner&) = delete;
+
+  struct Verdict {
+    bool srh_dirty = false;
+    bool packet_replaced = false;
+    bool dst_set = false;
+  };
+
+  // Points the ctx/env at `pkt` and resets the per-packet flags.
+  void prepare(net::Packet& pkt, ProcessTrace* trace);
+  // Propagates writable ctx fields back into the prepared packet and reads
+  // out the per-packet flags.
+  Verdict harvest();
+
+  ebpf::ExecEnv& env() noexcept { return env_; }
+  std::uint64_t ctx_addr() const noexcept {
+    return reinterpret_cast<std::uint64_t>(&ctx_.skb);
+  }
+
+ private:
+  Netns& ns_;
+  Seg6ProgCtx ctx_;
+  ebpf::ExecEnv env_;
+};
+
 class Netns {
  public:
   explicit Netns(std::string name = "netns");
@@ -133,12 +171,11 @@ class Netns {
 
   struct BpfRunResult {
     ebpf::ExecResult exec;
-    Seg6ProgCtx ctx;
+    Seg6BurstRunner::Verdict verdict;  // the helpers' per-packet flags
   };
-  // Builds the SkbCtx + ExecEnv and executes `prog` against `pkt` on this
-  // netns's engines (JIT or interpreter per the netns setting), updating
-  // `trace` with executed-instruction accounting. Single-packet convenience
-  // wrapper over Seg6BurstRunner; burst callers use the runner directly.
+  // Executes `prog` against `pkt` on this netns's engines (JIT or
+  // interpreter per the netns setting) through a Seg6BurstRunner, charging
+  // the run and its executed instructions to `trace`.
   BpfRunResult run_prog(const ebpf::LoadedProgram& prog, net::Packet& pkt,
                         ProcessTrace* trace);
 
@@ -153,62 +190,5 @@ class Netns {
   // ebpf::kMaxCpus by the Node's context setup).
   std::array<FibCacheSlot, ebpf::kMaxCpus> fib_slots_;
 };
-
-// Amortised SRv6 program executor: builds the SkbCtx + ExecEnv (clock and
-// prandom closures, memory-region list) once, then retargets them packet by
-// packet — so a burst of packets hitting the same program pays the
-// per-invocation setup once per group instead of once per packet.
-//
-// Protocol per packet: prepare() -> run the program (typically through
-// LoadedProgram::run_burst with prepare in the prep hook) -> harvest() ->
-// account(). harvest() must run before the next prepare(): it writes the
-// writable ctx fields (skb->mark) back to the current packet and returns the
-// per-packet helper flags.
-class Seg6BurstRunner {
- public:
-  Seg6BurstRunner(Netns& ns, const ebpf::LoadedProgram& prog);
-  Seg6BurstRunner(const Seg6BurstRunner&) = delete;
-  Seg6BurstRunner& operator=(const Seg6BurstRunner&) = delete;
-
-  struct Verdict {
-    bool srh_dirty = false;
-    bool packet_replaced = false;
-    bool dst_set = false;
-  };
-
-  // Points the shared ctx/env at `pkt` and resets the per-packet flags.
-  void prepare(net::Packet& pkt, ProcessTrace* trace);
-  // Propagates writable ctx fields back into the prepared packet and reads
-  // out the per-packet flags.
-  Verdict harvest();
-  // Charges one program execution to `trace` (engine-aware insn counts).
-  void account(ProcessTrace* trace, const ebpf::ExecResult& exec) const;
-
-  ebpf::ExecEnv& env() noexcept { return env_; }
-  std::uint64_t ctx_addr() const noexcept {
-    return reinterpret_cast<std::uint64_t>(&ctx_.skb);
-  }
-  const Seg6ProgCtx& ctx() const noexcept { return ctx_; }
-
- private:
-  Netns& ns_;
-  Seg6ProgCtx ctx_;
-  ebpf::ExecEnv env_;
-};
-
-// Shared vector-run scaffold for the burst entry points: executes `prog`
-// over every packet in `pkts` as chunked LoadedProgram::run_burst calls
-// sharing one Seg6BurstRunner per chunk, handling the harvest-before-next-
-// prepare protocol, then invokes `per_packet(k, exec, flags)` for each index
-// of `pkts` in order (after trace accounting). Callers keep any index
-// mapping of their own and interpret the outcome (End.BPF vs LWT epilogue).
-// The callback is a non-owning FunctionRef (call-scope lifetime): hook
-// plumbing costs the hot path zero allocations per burst.
-using BurstPerPacketFn = util::FunctionRef<void(
-    std::size_t, const ebpf::ExecResult&, const Seg6BurstRunner::Verdict&)>;
-void run_prog_over_burst(Netns& ns, const ebpf::LoadedProgram& prog,
-                         std::span<net::Packet* const> pkts,
-                         ProcessTrace* const* traces,
-                         BurstPerPacketFn per_packet);
 
 }  // namespace srv6bpf::seg6

@@ -4,35 +4,6 @@
 
 namespace srv6bpf::seg6 {
 
-namespace {
-
-// Shared BPF-tunnel tail: interprets the program's outcome for one packet.
-PipelineResult lwt_bpf_epilogue(net::Packet& pkt, const ebpf::ExecResult& exec,
-                                bool packet_replaced) {
-  if (!exec.ok()) return PipelineResult::drop();
-  switch (exec.ret) {
-    case ebpf::BPF_OK:
-      // If the program pushed an encapsulation the packet's destination
-      // changed; route it afresh (the kernel's BPF_LWT_REROUTE path).
-      return packet_replaced ? PipelineResult::cont(0)
-                             : PipelineResult::use_route();
-    case ebpf::BPF_REDIRECT:
-      if (!pkt.dst().valid) return PipelineResult::drop();
-      return PipelineResult::forward();
-    case ebpf::BPF_DROP:
-    default:
-      return PipelineResult::drop();
-  }
-}
-
-const ebpf::ProgHandle& lwt_prog_for_hook(const LwtState& lwt, LwtHook hook) {
-  return hook == LwtHook::kIn    ? lwt.prog_in
-         : hook == LwtHook::kOut ? lwt.prog_out
-                                 : lwt.prog_xmit;
-}
-
-}  // namespace
-
 PipelineResult lwt_process(Netns& ns, net::Packet& pkt, const LwtState& lwt,
                            LwtHook hook, ProcessTrace* trace) {
   switch (lwt.kind) {
@@ -58,36 +29,29 @@ PipelineResult lwt_process(Netns& ns, net::Packet& pkt, const LwtState& lwt,
     }
 
     case LwtState::Kind::kBpf: {
-      const ebpf::ProgHandle& prog = lwt_prog_for_hook(lwt, hook);
+      const ebpf::ProgHandle& prog = hook == LwtHook::kIn    ? lwt.prog_in
+                                     : hook == LwtHook::kOut ? lwt.prog_out
+                                                             : lwt.prog_xmit;
       if (prog == nullptr) return PipelineResult::use_route();
 
-      auto run = ns.run_prog(*prog, pkt, trace);
-      return lwt_bpf_epilogue(pkt, run.exec, run.ctx.packet_replaced);
+      const auto run = ns.run_prog(*prog, pkt, trace);
+      if (!run.exec.ok()) return PipelineResult::drop();
+      switch (run.exec.ret) {
+        case ebpf::BPF_OK:
+          // If the program pushed an encapsulation the packet's destination
+          // changed; route it afresh (the kernel's BPF_LWT_REROUTE path).
+          return run.verdict.packet_replaced ? PipelineResult::cont(0)
+                                             : PipelineResult::use_route();
+        case ebpf::BPF_REDIRECT:
+          if (!pkt.dst().valid) return PipelineResult::drop();
+          return PipelineResult::forward();
+        case ebpf::BPF_DROP:
+        default:
+          return PipelineResult::drop();
+      }
     }
   }
   return PipelineResult::drop();
-}
-
-void lwt_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
-                       const LwtState& lwt, LwtHook hook,
-                       ProcessTrace* const* traces, PipelineResult* results) {
-  const std::size_t n = pkts.size();
-  const ebpf::ProgHandle* prog = nullptr;
-  if (lwt.kind == LwtState::Kind::kBpf) prog = &lwt_prog_for_hook(lwt, hook);
-  // Non-BPF tunnel kinds are plain header surgery; only a BPF program has
-  // per-invocation setup worth amortising.
-  if (prog == nullptr || *prog == nullptr || n < 2) {
-    for (std::size_t i = 0; i < n; ++i)
-      results[i] = lwt_process(ns, *pkts[i], lwt, hook, traces[i]);
-    return;
-  }
-
-  run_prog_over_burst(ns, **prog, pkts, traces,
-                      [&](std::size_t k, const ebpf::ExecResult& exec,
-                          const Seg6BurstRunner::Verdict& v) {
-                        results[k] = lwt_bpf_epilogue(*pkts[k], exec,
-                                                      v.packet_replaced);
-                      });
 }
 
 }  // namespace srv6bpf::seg6

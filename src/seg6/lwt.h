@@ -3,8 +3,6 @@
 // BPF programs (the `bpf` encap type with in/out/xmit sections).
 #pragma once
 
-#include <span>
-
 #include "net/packet.h"
 #include "seg6/ctx.h"
 #include "seg6/fib.h"
@@ -21,13 +19,5 @@ enum class LwtHook { kIn, kOut, kXmit };
 //   kDrop      — drop
 PipelineResult lwt_process(Netns& ns, net::Packet& pkt, const LwtState& lwt,
                            LwtHook hook, ProcessTrace* trace);
-
-// Burst entry point: applies the tunnel state to every packet in `pkts` (all
-// selected the same route), writing dispositions into `results[i]`. For BPF
-// tunnels the program runs as one vector (ExecEnv/engine dispatch paid once
-// per route group); per-packet semantics match sequential lwt_process calls.
-void lwt_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
-                       const LwtState& lwt, LwtHook hook,
-                       ProcessTrace* const* traces, PipelineResult* results);
 
 }  // namespace srv6bpf::seg6

@@ -1,44 +1,12 @@
 #include "seg6/seg6local.h"
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 
-#include "net/burst.h"
 #include "net/srh.h"
 #include "net/transport.h"
 #include "util/byteorder.h"
 
 namespace srv6bpf::seg6 {
-
-namespace {
-
-// Shared End.BPF tail: interprets the program's outcome for one packet.
-// "If the SRH has been altered by the BPF program, a quick verification is
-// performed to ensure that it is still valid" (§3.1).
-PipelineResult end_bpf_epilogue(net::Packet& pkt, const ebpf::ExecResult& exec,
-                                bool srh_dirty) {
-  if (!exec.ok()) return PipelineResult::drop();
-  if (srh_dirty) {
-    auto srh = pkt.srh();
-    if (!srh || !srh->tlvs_well_formed()) return PipelineResult::drop();
-  }
-  switch (exec.ret) {
-    case ebpf::BPF_OK:
-      // Regular FIB lookup on the (possibly rewritten) destination.
-      return PipelineResult::cont(0);
-    case ebpf::BPF_REDIRECT:
-      // The destination set by bpf_lwt_seg6_action must not be overwritten
-      // by the default lookup (§3.1).
-      if (!pkt.dst().valid) return PipelineResult::drop();
-      return PipelineResult::forward();
-    case ebpf::BPF_DROP:
-    default:
-      return PipelineResult::drop();
-  }
-}
-
-}  // namespace
 
 bool srh_advance(net::Packet& pkt) {
   auto srh = pkt.srh();
@@ -187,8 +155,27 @@ PipelineResult seg6local_process(Netns& ns, net::Packet& pkt,
       count_op();  // the endpoint part (validate + advance) is End-equivalent
       if (!srh_advance(pkt)) return PipelineResult::drop();
 
-      auto run = ns.run_prog(*entry.prog, pkt, trace);
-      return end_bpf_epilogue(pkt, run.exec, run.ctx.srh_dirty);
+      const auto run = ns.run_prog(*entry.prog, pkt, trace);
+      if (!run.exec.ok()) return PipelineResult::drop();
+      // "If the SRH has been altered by the BPF program, a quick
+      // verification is performed to ensure that it is still valid" (§3.1).
+      if (run.verdict.srh_dirty) {
+        auto srh = pkt.srh();
+        if (!srh || !srh->tlvs_well_formed()) return PipelineResult::drop();
+      }
+      switch (run.exec.ret) {
+        case ebpf::BPF_OK:
+          // Regular FIB lookup on the (possibly rewritten) destination.
+          return PipelineResult::cont(0);
+        case ebpf::BPF_REDIRECT:
+          // The destination set by bpf_lwt_seg6_action must not be
+          // overwritten by the default lookup (§3.1).
+          if (!pkt.dst().valid) return PipelineResult::drop();
+          return PipelineResult::forward();
+        case ebpf::BPF_DROP:
+        default:
+          return PipelineResult::drop();
+      }
     }
   }
   return PipelineResult::drop();
@@ -198,47 +185,8 @@ void seg6local_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
                              const Seg6LocalEntry& entry,
                              ProcessTrace* const* traces,
                              PipelineResult* results) {
-  const std::size_t n = pkts.size();
-  // Only End.BPF has per-invocation setup worth amortising; the static
-  // behaviours are plain header surgery.
-  if (entry.action != Seg6Action::kEndBPF || entry.prog == nullptr || n < 2) {
-    for (std::size_t i = 0; i < n; ++i)
-      results[i] = seg6local_process(ns, *pkts[i], entry, traces[i]);
-    return;
-  }
-
-  // Phase 1 — the endpoint part (validate + advance), per packet.
-  // Phase 2 — one vector run of the program over the survivors.
-  // Phase 3 — per-packet epilogue (SRH re-validation, return code).
-  // Each phase only touches its own packet, so the phase split observes the
-  // same per-packet semantics as the sequential loop.
-  std::size_t base = 0;
-  while (base < n) {
-    const std::size_t chunk = std::min(n - base, net::kMaxBurstPackets);
-    std::array<net::Packet*, net::kMaxBurstPackets> ap;
-    std::array<ProcessTrace*, net::kMaxBurstPackets> at;
-    std::array<std::size_t, net::kMaxBurstPackets> ai;
-    std::size_t m = 0;
-    for (std::size_t i = base; i < base + chunk; ++i) {
-      if (traces[i] != nullptr) ++traces[i]->seg6local_ops;
-      if (!srh_advance(*pkts[i])) {
-        results[i] = PipelineResult::drop();
-      } else {
-        ap[m] = pkts[i];
-        at[m] = traces[i];
-        ai[m] = i;
-        ++m;
-      }
-    }
-    if (m > 0)
-      run_prog_over_burst(
-          ns, *entry.prog, {ap.data(), m}, at.data(),
-          [&](std::size_t k, const ebpf::ExecResult& exec,
-              const Seg6BurstRunner::Verdict& v) {
-            results[ai[k]] = end_bpf_epilogue(*ap[k], exec, v.srh_dirty);
-          });
-    base += chunk;
-  }
+  for (std::size_t i = 0; i < pkts.size(); ++i)
+    results[i] = seg6local_process(ns, *pkts[i], entry, traces[i]);
 }
 
 }  // namespace srv6bpf::seg6

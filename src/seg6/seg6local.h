@@ -77,12 +77,10 @@ PipelineResult seg6local_process(Netns& ns, net::Packet& pkt,
                                  const Seg6LocalEntry& entry,
                                  ProcessTrace* trace);
 
-// Burst entry point: executes the behaviour over every packet in `pkts` (all
-// of which matched `entry`'s SID), writing per-packet dispositions into
-// `results[i]` and charging `traces[i]`. Per-packet semantics are identical
-// to calling seg6local_process in order; what's amortised is the End.BPF
-// ExecEnv/ctx construction and engine dispatch, paid once per group through
-// Seg6BurstRunner + LoadedProgram::run_burst.
+// Group entry point: runs seg6local_process over every packet in `pkts` (all
+// of which matched `entry`'s SID), in order, writing per-packet dispositions
+// into `results[i]` and charging `traces[i]`. The datapath resolves the SID
+// once per run of equal destinations and hands the run here.
 void seg6local_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
                              const Seg6LocalEntry& entry,
                              ProcessTrace* const* traces,

@@ -259,8 +259,9 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
       };
 
       if (route->lwt && route->lwt->kind != seg6::LwtState::Kind::kNone) {
-        seg6::lwt_process_burst(ns, {gp.data(), m}, *route->lwt,
-                                seg6::LwtHook::kXmit, gt.data(), gr.data());
+        for (std::size_t k = 0; k < m; ++k)
+          gr[k] = seg6::lwt_process(ns, *gp[k], *route->lwt,
+                                    seg6::LwtHook::kXmit, gt[k]);
         for (std::size_t k = 0; k < m; ++k) {
           if (gr[k].disposition == seg6::Disposition::kUseRoute)
             take_nexthop(k);

@@ -5,22 +5,21 @@
 //   classify   — validate, then run-group packets by IPv6 destination and
 //                resolve each group's fate once: seg6local SID match, local
 //                delivery, or FIB continuation;
-//   seg6local  — grouped behaviour execution (seg6local_process_burst): one
-//                SID-table hit and, for End.BPF, one ExecEnv/engine setup
-//                per group;
+//   seg6local  — one SID-table hit per group, then the behaviour per packet
+//                (seg6local_process_burst); an End.BPF program runs once per
+//                packet, as the kernel's input_action_end_bpf does per skb;
 //   lwt + fib  — disposition rounds: route lookups per (dst, table) group
 //                through the servicing context's one-entry FibCacheSlot,
 //                backed by the multibit-stride LPM trie on miss
-//                (util/lpm_trie.h), route-attached tunnels via
-//                lwt_process_burst (BPF program setup paid once per route
-//                group), ECMP nexthop selection per packet;
+//                (util/lpm_trie.h), route-attached tunnels via lwt_process
+//                per packet, ECMP nexthop selection per packet;
 //   tx-prep    — hop-limit handling and per-packet verdict/oif metadata;
 //                the Node then groups forwards per egress interface and
 //                hands them to Link::transmit_burst.
 //
 // Per-packet semantics are bit-identical to the former single-packet
 // Node::process() state machine (the burst differential test enforces it);
-// bursts only amortise lookups, program setup and event-loop traffic.
+// bursts only amortise lookups and event-loop traffic.
 //
 // The pipeline is deliberately stateless between calls: processing can
 // re-enter it (ICMP generation, local handlers that send), so all per-burst

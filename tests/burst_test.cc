@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "net/burst.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
+#include "sim/invariant_auditor.h"
 #include "sim/network.h"
 #include "usecases/programs.h"
 
@@ -158,6 +160,16 @@ void expect_same(const RunResult& a, const RunResult& b, const char* what) {
   EXPECT_EQ(a.sink_node.rx_packets, b.sink_node.rx_packets);
 }
 
+// Closes a scenario's books once the network has drained: every packet it
+// offered (sent, injected, or an ICMP a router originated) was delivered or
+// dropped with a reason.
+void expect_balanced_ledger(sim::InvariantAuditor& auditor, sim::TimeNs now,
+                            std::size_t burst) {
+  auditor.audit(now, /*final_drain=*/true);
+  for (const std::string& v : auditor.violations())
+    ADD_FAILURE() << "burst " << burst << ": " << v;
+}
+
 // fig2-style: S1 - R(Xeon, End.BPF Tag++) - S2; a 100-packet clump arrives
 // back-to-back, queues in R's RX ring and drains in bursts.
 RunResult run_fig2_scenario(std::size_t burst) {
@@ -208,6 +220,12 @@ RunResult run_fig2_scenario(std::size_t burst) {
                            });
   }
   net.run_for(sim::kSecond);  // drain completely
+  sim::InvariantAuditor auditor;
+  auditor.add_source([] { return 100u; });
+  for (const sim::Node* n : {&s1, &r, &s2}) auditor.add_node(*n);
+  auditor.add_link(*l1.link);
+  auditor.add_link(*l2.link);
+  expect_balanced_ledger(auditor, net.now(), burst);
 
   RunResult res;
   res.delivered = sink.packets();
@@ -310,6 +328,12 @@ RunResult run_hybrid_scenario(std::size_t burst) {
                            });
   }
   net.run_for(sim::kSecond);
+  sim::InvariantAuditor auditor;
+  auditor.add_source([] { return 96u; });
+  for (const sim::Node* n : {&s1, &m, &s2}) auditor.add_node(*n);
+  auditor.add_link(*l0.link);
+  auditor.add_link(*l1.link);
+  expect_balanced_ledger(auditor, net.now(), burst);
 
   RunResult res;
   res.delivered = sink.packets();
@@ -424,6 +448,11 @@ MixedResult run_mixed_scenario(std::size_t burst) {
     });
   }
   net.run_for(sim::kSecond);
+  sim::InvariantAuditor auditor;  // 180 sent by S1, 30 injected into R
+  auditor.add_source([] { return 210u; });
+  for (const sim::Node* n : {&s1, &r, &s2}) auditor.add_node(*n);
+  for (const auto* l : {&l1, &l2, &l3}) auditor.add_link(*l->link);
+  expect_balanced_ledger(auditor, net.now(), burst);
 
   std::sort(res.outcomes.begin(), res.outcomes.end());
   res.run.delivered = s2.stats().local_delivered;

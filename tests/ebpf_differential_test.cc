@@ -369,9 +369,8 @@ TEST(Differential, EnginesAgreeOnRandomPrograms) {
   EXPECT_GE(verified, kWantedPrograms);
 }
 
-// One field edit: off, imm, src, dst or one opcode bit. Registers stay in
-// r0-r10: decode checks a register number only where the instruction reads
-// it, the oracle on every slot.
+// One field edit: off, imm, src, dst or one opcode bit. Register edits span
+// the whole 4-bit field, so numbers above r10 reach every slot, read or not.
 void mutate_field(Rng& rng, Insn& insn) {
   static constexpr std::int32_t kEdgeImms[] = {
       0, 1, 8, 16, 32, 63, 64, -1, helper::KTIME_GET_NS,
@@ -388,8 +387,8 @@ void mutate_field(Rng& rng, Insn& insn) {
                                       1u << rng.uniform(0, 31))
                      : kEdgeImms[rng.uniform(0, std::size(kEdgeImms) - 1)];
       break;
-    case 2: insn.src = static_cast<std::uint8_t>(rng.uniform(0, 10)); break;
-    case 3: insn.dst = static_cast<std::uint8_t>(rng.uniform(0, 10)); break;
+    case 2: insn.src = static_cast<std::uint8_t>(rng.uniform(0, 15)); break;
+    case 3: insn.dst = static_cast<std::uint8_t>(rng.uniform(0, 15)); break;
     default:
       insn.opcode ^= static_cast<std::uint8_t>(1u << rng.uniform(0, 7));
   }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -397,24 +398,33 @@ TEST(JitFallback, InstructionsAreChargedToTheJitBucket) {
   auto load = ns.bpf().load("bump", ProgType::kLwtSeg6Local,
                             map_bump_program(map_id));
   ASSERT_TRUE(load.ok()) << load.verify.error;
-  const LoadedProgram fallback = without_native(ns.bpf(), *load.prog);
 
+  // The oracle's count for one run, on a system of its own so the map under
+  // test sees only the End.BPF runs.
+  BpfSystem ref;
+  ASSERT_EQ(ref.maps().create(MapDef{MapType::kArray, 4, 8, 4, "m"}), map_id);
+  ExecEnv env;
+  const ExecResult once = run_oracle(ref, *load.prog, env, 0);
+  ASSERT_TRUE(once.ok()) << once.error;
+  const std::uint64_t insns = 2 * once.insns_executed;
+
+  // A two-packet End.BPF group, as the datapath hands it over.
+  seg6::Seg6LocalEntry e;
+  e.action = seg6::Seg6Action::kEndBPF;
+  e.prog =
+      std::make_shared<LoadedProgram>(without_native(ns.bpf(), *load.prog));
   net::PacketSpec spec;
   spec.src = net::Ipv6Addr::must_parse("fc00::1");
   spec.dst = net::Ipv6Addr::must_parse("fc00::2");
+  spec.segments = {net::Ipv6Addr::must_parse("fc00::e1"), spec.dst};
   net::Packet a = net::make_udp_packet(spec);
   net::Packet b = net::make_udp_packet(spec);
   net::Packet* pkts[] = {&a, &b};
   seg6::ProcessTrace ta, tb;
   seg6::ProcessTrace* traces[] = {&ta, &tb};
-  std::uint64_t insns = 0;
-  seg6::run_prog_over_burst(
-      ns, fallback, pkts, traces,
-      [&](std::size_t, const ExecResult& exec,
-          const seg6::Seg6BurstRunner::Verdict&) {
-        EXPECT_TRUE(exec.ok()) << exec.error;
-        insns += exec.insns_executed;
-      });
+  seg6::PipelineResult results[2];
+  seg6::seg6local_process_burst(ns, pkts, e, traces, results);
+
   EXPECT_GT(insns, 0u);
   EXPECT_EQ(ta.bpf_insns_jit + tb.bpf_insns_jit, insns);
   EXPECT_EQ(ta.bpf_insns_interp + tb.bpf_insns_interp, 0u);

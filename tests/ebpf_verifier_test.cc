@@ -652,6 +652,26 @@ std::vector<MustReject> must_reject_table() {
                 {BPF_ALU64 | BPF_MOV | BPF_K, R0, 0, 0, 0}},
                "second slot must have opcode 0",
                1});
+  for (const Insn& aux : {Insn{0, R1, 0, 0, 0}, Insn{0, 0, R1, 0, 0},
+                          Insn{0, 0, 0, 1, 0}}) {
+    t.push_back({"ld_imm64 second slot with dst/src/off " +
+                     std::to_string(aux.dst) + "/" + std::to_string(aux.src) +
+                     "/" + std::to_string(aux.off),
+                 {{BPF_LD | BPF_DW | BPF_IMM, R2, 0, 0, 1}, aux},
+                 "invalid bpf_ld_imm64 insn",
+                 1});
+  }
+  // A register field above r10 where the instruction does not read it: the
+  // K form of an ALU or JMP op, and BPF_ST.
+  t.push_back({"K-form add64 with src 12",
+               {{BPF_ALU64 | BPF_ADD | BPF_K, R2, 12, 0, 5}},
+               "source register out of range"});
+  t.push_back({"K-form jeq with src 11",
+               {{BPF_JMP | BPF_JEQ | BPF_K, R2, 11, 0, 5}},
+               "source register out of range"});
+  t.push_back({"st with src 15",
+               {{BPF_ST | BPF_DW | BPF_MEM, R10, 15, -8, 0}},
+               "source register out of range"});
   t.push_back({"ld_imm64 pseudo src 2",
                {{BPF_LD | BPF_DW | BPF_IMM, R2, 2, 0, 1}, {0, 0, 0, 0, 0}},
                "unknown ld_imm64 pseudo source"});
