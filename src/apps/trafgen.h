@@ -41,7 +41,7 @@ class TrafGen {
     // cycled through address bytes 4-5 (the third group), so consecutive
     // packets hit `dst_spread` different /48 sites — multi-destination
     // traffic that defeats any one-entry route cache and drives the router's
-    // FIB trie on every burst group.
+    // FIB trie on every packet.
     // When the packet carries no SRH the UDP checksum is incrementally
     // fixed up (the final destination is in the pseudo-header); with an SRH
     // the outer dst is the first segment and needs no fixup — but rotating

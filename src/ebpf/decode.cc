@@ -158,8 +158,12 @@ DecodeResult decode_program(const std::vector<Insn>& insns,
     if (insn.dst >= kNumRegs)
       return fail(at, "destination register out of range");
     if (insn.src >= kNumRegs) return fail(at, "source register out of range");
-
     const std::uint8_t cls = insn.insn_class();
+    if (insn.src != 0 && insn.src_reserved())
+      return fail(at, cls == BPF_ST ? "BPF_ST uses reserved fields"
+                      : cls == BPF_JMP || cls == BPF_JMP32
+                          ? "BPF_JMP/JMP32 uses reserved fields"
+                          : "BPF_ALU uses reserved fields");
     switch (cls) {
       case BPF_ALU64:
       case BPF_ALU:

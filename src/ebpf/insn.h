@@ -109,6 +109,23 @@ struct Insn {
   constexpr std::uint8_t size_field() const noexcept { return opcode & 0x18; }
   constexpr std::uint8_t mode_field() const noexcept { return opcode & 0xe0; }
   constexpr bool uses_reg_src() const noexcept { return opcode & BPF_X; }
+  // True when the src field is reserved and must be 0, as the kernel's
+  // "uses reserved fields" checks demand: an ALU or JMP op with an immediate
+  // operand (BPF_K, which takes in NEG, JA, CALL and EXIT), BPF_END (whose X
+  // bit picks the byte order), and BPF_ST.
+  constexpr bool src_reserved() const noexcept {
+    switch (insn_class()) {
+      case BPF_ALU:
+      case BPF_ALU64:
+        return !uses_reg_src() || alu_op() == BPF_END;
+      case BPF_JMP:
+      case BPF_JMP32:
+        return !uses_reg_src();
+      case BPF_ST:
+        return true;
+    }
+    return false;
+  }
 
   constexpr bool is_ld_imm64() const noexcept {
     return opcode == (BPF_LD | BPF_DW | BPF_IMM);

@@ -450,6 +450,8 @@ ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
     const Insn insn = insns[pc];
     if (insn.dst >= kNumRegs || insn.src >= kNumRegs)
       return fault(res.insns_executed, "register number out of range");
+    if (insn.src != 0 && insn.src_reserved())
+      return fault(res.insns_executed, "reserved src field set");
     const std::uint8_t cls = insn.insn_class();
     const std::uint8_t op = insn.alu_op();
     std::uint64_t& dst = regs[insn.dst];

@@ -967,6 +967,8 @@ void Checker::invalidate_packet(State& s) {
     }
 }
 
+// `s` is this call's own copy: a two-way split copies it once for the taken
+// branch and refines `s` itself as the fall-through.
 std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
   const bool is32 = insn.insn_class() == BPF_JMP32;
@@ -990,7 +992,8 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
   // ---- Null-check pattern on map values: if (r == 0) / if (r != 0) ----
   if (a.type == RT::kMapValueOrNull && !insn.uses_reg_src() && insn.imm == 0 &&
       (op == BPF_JEQ || op == BPF_JNE)) {
-    State taken = s, fall = s;
+    State taken = s;
+    State& fall = s;
     const std::uint32_t id = a.id;
     // JEQ: taken => null; JNE: taken => non-null.
     mark_map_null_branch(taken, id, op == BPF_JEQ);
@@ -1029,7 +1032,8 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     };
     // Note: for JGE/JLT the proven relation is strict (<), which still
     // implies <= and is therefore safe to use for `range` bytes.
-    State taken = s, fall = s;
+    State taken = s;
+    State& fall = s;
     if (branch_proves(true))
       taken.pkt_range = std::max(taken.pkt_range, range);
     if (branch_proves(false))
@@ -1048,7 +1052,8 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     if (!(both_ptr && (op == BPF_JEQ || op == BPF_JNE) &&
           a.type == src_reg->type))
       return err(pc, "invalid pointer comparison");
-    State taken = s, fall = s;
+    State taken = s;
+    State& fall = s;
     taken.pc = pc + 1 + insn.off;
     fall.pc = pc + 1;
     push(std::move(taken));
@@ -1062,7 +1067,8 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
   if (!insn.uses_reg_src()) k = sext_imm64(insn.imm);
   else if (src_reg->is_const()) k = src_reg->umin;
 
-  State taken = s, fall = s;
+  State taken = s;
+  State& fall = s;
   bool taken_feasible = true, fall_feasible = true;
 
   if (k && !is32) {

@@ -1,11 +1,12 @@
-// PacketBurst: the currency of the vector datapath.
+// PacketBurst: what one RX service event drains and one link transmit sends.
 //
 // A fixed-capacity inline vector of packets plus per-packet disposition
-// metadata (verdict, egress interface, logical timestamp). Bursts flow
-// through the staged forwarding pipeline (sim/datapath.h) and the link layer
-// (Link::transmit_burst) the way skb arrays flow through NAPI polling and
-// GRO in a real kernel: one event / one lookup / one program-setup per burst
-// instead of per packet, with per-packet fates recorded in the metadata.
+// metadata (verdict, egress interface, logical timestamp). A Node drains its
+// RX rings into a burst the way NAPI polls a budget of skbs, runs each
+// packet through the datapath (sim/datapath.h) in order, and hands the
+// forwards per egress interface to Link::transmit_burst: one event per
+// burst instead of per packet, with per-packet fates recorded in the
+// metadata.
 //
 // Storage is inline (no heap) and lazily constructed: creating, moving and
 // destroying a burst costs O(occupied slots), never O(capacity) — a burst of
@@ -15,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <type_traits>
 
 #include "net/packet.h"
 
@@ -26,7 +26,7 @@ namespace srv6bpf::net {
 // burst-invariance tests exercise.
 inline constexpr std::size_t kMaxBurstPackets = 64;
 
-// Per-packet fate, assigned stage by stage.
+// Per-packet fate, assigned by the datapath.
 enum class BurstVerdict : std::uint8_t {
   kPending,   // not yet classified
   kForward,   // transmit on `oif` at `at_ns`
@@ -133,26 +133,6 @@ class PacketBurst {
   alignas(Packet) std::byte storage_[kMaxBurstPackets * sizeof(Packet)];
   BurstSlotMeta meta_[kMaxBurstPackets];
   std::size_t size_ = 0;
-};
-
-// Per-slot scratch for one burst — kMaxBurstPackets elements of T on the
-// caller's stack, with no constructor run: a burst of n packets touches
-// only the n slots it writes, never the whole capacity. T must be
-// trivially copyable and destructible (an implicit-lifetime type, so the
-// storage provides its objects), and every slot must be written before it
-// is read (tests/burst_test.cc pins the datapath's scratch at every burst
-// size against bursts of one).
-template <typename T>
-class BurstScratch {
-  static_assert(std::is_trivially_copyable_v<T> &&
-                std::is_trivially_destructible_v<T>);
-
- public:
-  T* data() noexcept { return std::launder(reinterpret_cast<T*>(storage_)); }
-  T& operator[](std::size_t i) noexcept { return data()[i]; }
-
- private:
-  alignas(T) std::byte storage_[kMaxBurstPackets * sizeof(T)];
 };
 
 }  // namespace srv6bpf::net

@@ -159,7 +159,7 @@ class Netns {
   std::uint32_t current_cpu = 0;
 
   // The executing context's one-entry FIB route-cache slot. Every hot-path
-  // route lookup against this netns — the datapath's fib stage, the
+  // route lookup against this netns — the datapath's FIB lookup, the
   // bpf_lwt_seg6_action behaviours, End.X nexthop resolution — goes through
   // the servicing context's slot, so contexts never share cache state
   // (FibCacheSlot's rationale in seg6/fib.h).

@@ -80,8 +80,8 @@ class Fib;
 // dangling Route* behind.
 //
 // The slot is a layer *above* the stride trie, not a substitute for it: it
-// short-circuits the repeated-destination case (a burst run-grouped on one
-// dst pays one trie walk), while the trie keeps multi-destination traffic —
+// short-circuits the repeated-destination case (consecutive packets to one
+// dst pay one trie walk), while the trie keeps multi-destination traffic —
 // which defeats any one-entry cache — at O(key bytes) per miss.
 struct FibCacheSlot {
   const Fib* fib = nullptr;
@@ -104,7 +104,7 @@ class Fib {
   void clear();
 
   // Longest-prefix match; nullptr when no route covers `dst`. Consults
-  // `slot` first (a burst of packets to one destination walks the trie
+  // `slot` first (consecutive packets to one destination walk the trie
   // once); a slot is revalidated against this table's mutation generation.
   // On a slot miss the cost is the stride trie's: at most 16 byte-indexed
   // node hops, typically ceil(prefixlen/8) + 1. The returned Route* is valid

@@ -42,10 +42,9 @@ struct Seg6LocalEntry {
 };
 
 // SID -> behaviour table. Hash-based (the kernel uses a hashed route table
-// too): it sits on the per-burst classify stage, where an ordered map's
+// too): the datapath looks every packet up here, where an ordered map's
 // 128-bit comparisons per tree level were measurable. Entry references are
-// stable across insertions (unordered_map guarantee), which the burst
-// pipeline relies on.
+// stable across insertions (unordered_map guarantee).
 class Seg6LocalTable {
  public:
   void add(const net::Ipv6Addr& sid, Seg6LocalEntry entry) {
@@ -79,8 +78,9 @@ PipelineResult seg6local_process(Netns& ns, net::Packet& pkt,
 
 // Group entry point: runs seg6local_process over every packet in `pkts` (all
 // of which matched `entry`'s SID), in order, writing per-packet dispositions
-// into `results[i]` and charging `traces[i]`. The datapath resolves the SID
-// once per run of equal destinations and hands the run here.
+// into `results[i]` and charging `traces[i]`. The datapath calls
+// seg6local_process per packet; this loop serves callers that replay a run
+// of packets through one SID (perfbench's probe, tests).
 void seg6local_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
                              const Seg6LocalEntry& entry,
                              ProcessTrace* const* traces,

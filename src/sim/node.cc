@@ -7,7 +7,6 @@
 
 #include "ebpf/map.h"
 #include "net/checksum.h"
-#include "seg6/lwt.h"
 #include "seg6/seg6local.h"
 #include "util/byteorder.h"
 
@@ -235,17 +234,18 @@ void Node::service_burst(CpuContext& ctx) {
   cur_ctx_ = &ctx;
   ns_.current_cpu = ctx.id;
 
-  net::BurstScratch<seg6::ProcessTrace> traces;
-  datapath_.process_burst(b, /*local_out=*/false, traces.data());
-  trace_ = traces[b.size() - 1];
-
   // Per-packet completion times are exactly the sequential model's: packet i
   // finishes when this core has served every packet before it plus itself.
+  // The trace is a local, not trace_: an ICMP error re-enters the datapath
+  // in the middle of a packet.
+  seg6::ProcessTrace trace;
   TimeNs t = std::max(loop_->now(), ctx.busy_until);
   for (std::size_t i = 0; i < b.size(); ++i) {
-    t += packet_cost_ns(cpu.profile, traces[i]);
+    datapath_.process(b.pkt(i), b.meta(i), /*local_out=*/false, trace);
+    t += packet_cost_ns(cpu.profile, trace);
     b.meta(i).at_ns = t;
   }
+  trace_ = trace;
   ctx.busy_until = t;
   dispatch_burst(b);
 
@@ -289,11 +289,13 @@ void Node::process_and_dispatch(net::PacketBurst& b, bool local_out) {
   CpuContext* prev_ctx = cur_ctx_;
   if (cur_ctx_ == nullptr) cur_ctx_ = &contexts()[0];
 
-  net::BurstScratch<seg6::ProcessTrace> traces;
-  datapath_.process_burst(b, local_out, traces.data());
-  trace_ = traces[b.size() - 1];
+  seg6::ProcessTrace trace;
   const TimeNs now = loop_->now();
-  for (std::size_t i = 0; i < b.size(); ++i) b.meta(i).at_ns = now;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    datapath_.process(b.pkt(i), b.meta(i), local_out, trace);
+    b.meta(i).at_ns = now;
+  }
+  trace_ = trace;
   dispatch_burst(b);
 
   cur_ctx_ = prev_ctx;

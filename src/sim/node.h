@@ -7,7 +7,7 @@
 // with a bounded RX backlog — exactly how the paper's single-core routers
 // saturate at 610 kpps while the source offers 3 Mpps.
 //
-// Forwarding is burst-oriented and (optionally) multi-core. The CPU model is
+// RX service is burst-oriented and (optionally) multi-core. The CPU model is
 // `Cpu::ncpus` independent execution contexts (`CpuContext`), each with its
 // own busy_until clock, its own NodeStats shard and its own FIB route-cache
 // slot — the paper pins all IRQs to one core (ncpus = 1, the default, which
@@ -17,7 +17,8 @@
 // flow is serviced by exactly one context and per-flow ordering is
 // structural; each context then drains *its* per-interface RX rings
 // round-robin (NAPI polling per core) up to Cpu::rx_burst packets per
-// service event and runs them through the staged Datapath (sim/datapath.h).
+// service event and runs them one at a time, in order, through the Datapath
+// state machine (sim/datapath.h).
 // While a context runs, Netns::current_cpu carries its id into the eBPF
 // ExecEnv, giving programs bpf_get_smp_processor_id and per-CPU map slots.
 //
@@ -27,9 +28,10 @@
 // arrive as one delivery at its last wire arrival (interrupt coalescing,
 // bounded by one burst's serialization time), and a BPF program reading
 // bpf_ktime_get_ns sees the service event's clock for the whole burst
-// rather than per-packet staggered clocks. Delivery counts, traces and
-// final stats are burst-invariant (tests/burst_test.cc) and ncpus=1 runs
-// are bit-identical to the historical single-core path (tests/mc_test.cc).
+// rather than per-packet staggered clocks. Delivery counts, traces, final
+// stats and the order of eBPF runs are burst-invariant (tests/burst_test.cc)
+// and ncpus=1 runs are bit-identical to the historical single-core path
+// (tests/mc_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -136,7 +138,8 @@ class Node {
   // Local output path (applications sending); bypasses the CPU model and the
   // hop-limit decrement, like a locally originated skb.
   void send(net::Packet&& pkt);
-  // Vector local output: the whole burst enters the datapath at once.
+  // Burst local output: each packet runs through the datapath in order,
+  // then the burst is dispatched once.
   void send_burst(net::PacketBurst&& burst);
 
   // Delivery callback for locally addressed packets.
@@ -212,7 +215,8 @@ class Node {
   void maybe_schedule_service(CpuContext& ctx);
   void service_burst(CpuContext& ctx);
   bool rings_empty(const CpuContext& ctx) const;
-  // Non-CPU path: datapath + dispatch at the current time.
+  // Non-CPU path: runs each packet through the datapath, then dispatches the
+  // burst at the current time.
   void process_and_dispatch(net::PacketBurst& burst, bool local_out);
   // Delivers verdicts: locals to the handler, forwards grouped per egress
   // interface into Link::transmit_burst at their per-packet timestamps.

@@ -6,8 +6,8 @@
 // cumulative pipeline traces and final NodeStats at burst sizes {1, 8, 32};
 // a mixed scenario (forwards, ECMP, End, TTL, no-route, malformed, local)
 // must produce identical per-packet outcomes at burst sizes {1, 2, 3, 17,
-// 64}, which pins that no per-burst scratch slot is read before it is
-// written.
+// 64}; and an End.BPF program and an LWT-BPF program sharing one map must
+// run in packet order (A0 B0 A1 B1 ...) at every burst size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "apps/sink.h"
+#include "ebpf/asm.h"
 #include "net/burst.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
@@ -495,6 +496,140 @@ TEST(BurstDifferential, WrrScheduleOrderPreserved) {
   EXPECT_EQ(a.router.pipeline.helper_calls, b.router.pipeline.helper_calls);
   EXPECT_EQ(a.router.pipeline.bpf_insns_interp,
             b.router.pipeline.bpf_insns_interp);
+}
+
+// An eBPF program that appends (mark << 16 | the packet's SRH tag) to `log`,
+// an array map whose slot 0 is the cursor and slots 1.. the entries.
+std::vector<ebpf::Insn> build_logger(std::uint32_t log, std::int32_t mark) {
+  using namespace ebpf;
+  Asm a;
+  a.ldx(BPF_DW, R7, R1, 0)   // data
+      .ldx(BPF_DW, R8, R1, 8)  // data_end
+      .mov64_reg(R2, R7)
+      .add64_imm(R2, 48)       // IPv6 (40) + SRH fixed part (8)
+      .jgt_reg(R2, R8, "out")
+      .ldx(BPF_H, R9, R7, 46)  // SRH tag, network order
+      .to_be(R9, 16)
+      .or64_imm(R9, mark << 16)
+      .st(BPF_W, R10, -4, 0)
+      .ld_map(R1, log)
+      .mov64_reg(R2, R10)
+      .add64_imm(R2, -4)
+      .call(helper::MAP_LOOKUP_ELEM)
+      .jeq_imm(R0, 0, "out")
+      .ldx(BPF_W, R1, R0, 0)   // cursor
+      .add64_imm(R1, 1)
+      .stx(BPF_W, R0, R1, 0)
+      .stx(BPF_W, R10, R1, -4)  // key = new cursor
+      .ld_map(R1, log)
+      .mov64_reg(R2, R10)
+      .add64_imm(R2, -4)
+      .call(helper::MAP_LOOKUP_ELEM)
+      .jeq_imm(R0, 0, "out")
+      .stx(BPF_W, R0, R9, 0)
+      .label("out")
+      .mov32_imm(R0, static_cast<std::int32_t>(BPF_OK))
+      .exit_();
+  return a.build();
+}
+
+struct LogResult {
+  std::vector<std::uint32_t> log;
+  std::uint64_t service_events = 0;
+};
+
+// S1 - R(Xeon) - S2. On R, End.BPF SID program A advances each packet to
+// S2, whose route carries LWT-BPF xmit program B; both log into one map.
+// 40 packets arrive back-to-back and drain in bursts of `burst`.
+LogResult run_shared_map_scenario(std::size_t burst) {
+  constexpr int kPackets = 40;
+  sim::Network net(0x10a6);
+  auto& s1 = net.add_node("S1");
+  auto& r = net.add_node("R");
+  auto& s2 = net.add_node("S2");
+  const auto a1 = A("fc00:1::1"), r0 = A("fc00:1::2");
+  const auto r1 = A("fc00:2::1"), a2 = A("fc00:2::2");
+  const auto sid = A("fc00:f::1");
+  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
+  auto l1 = net.connect(s1, a1, r, r0, kTenGig, 10 * sim::kMicro);
+  auto l2 = net.connect(r, r1, s2, a2, kTenGig, 10 * sim::kMicro);
+  s1.ns().table(0).add_route(P("::/0"), {r0, l1.a_ifindex, 1});
+
+  r.cpu.enabled = true;
+  r.cpu.profile = sim::kXeonProfile;
+  r.cpu.rx_burst = burst;
+
+  auto& bpf = r.ns().bpf();
+  ebpf::MapDef def;
+  def.type = ebpf::MapType::kArray;
+  def.key_size = 4;
+  def.value_size = 4;
+  def.max_entries = 1 + 2 * kPackets;
+  def.name = "order_log";
+  const std::uint32_t log = bpf.maps().create(def);
+  auto prog_a = bpf.load("log_a", ebpf::ProgType::kLwtSeg6Local,
+                         build_logger(log, 0xa), 0);
+  auto prog_b = bpf.load("log_b", ebpf::ProgType::kLwtXmit,
+                         build_logger(log, 0xb), 0);
+  EXPECT_TRUE(prog_a.ok()) << prog_a.verify.error;
+  EXPECT_TRUE(prog_b.ok()) << prog_b.verify.error;
+  seg6::Seg6LocalEntry e;
+  e.action = seg6::Seg6Action::kEndBPF;
+  e.prog = prog_a.prog;
+  r.ns().seg6local().add(sid, e);
+  auto lwt = std::make_shared<seg6::LwtState>();
+  lwt->kind = seg6::LwtState::Kind::kBpf;
+  lwt->prog_xmit = prog_b.prog;
+  r.ns().table(0).add_route(
+      {P("fc00:2::/64"), {{net::Ipv6Addr{}, l2.a_ifindex, 1}}, lwt});
+
+  for (int i = 0; i < kPackets; ++i) {
+    net::PacketSpec spec;
+    spec.src = a1;
+    spec.dst = a2;
+    spec.segments = {sid, a2};
+    spec.srh_tag = static_cast<std::uint16_t>(i);
+    spec.payload_size = 64;
+    net.loop().schedule_at(static_cast<sim::TimeNs>(i) * 100,
+                           [&s1, p = net::make_udp_packet(spec)]() mutable {
+                             s1.send(std::move(p));
+                           });
+  }
+  net.run_for(sim::kSecond);
+  sim::InvariantAuditor auditor;
+  auditor.add_source([] { return static_cast<std::uint64_t>(kPackets); });
+  for (const sim::Node* n : {&s1, &r, &s2}) auditor.add_node(*n);
+  auditor.add_link(*l1.link);
+  auditor.add_link(*l2.link);
+  expect_balanced_ledger(auditor, net.now(), burst);
+  EXPECT_EQ(s2.stats().local_delivered, static_cast<std::uint64_t>(kPackets));
+
+  LogResult res;
+  ebpf::Map* m = bpf.maps().get(log);
+  std::uint32_t cursor = 0;
+  std::memcpy(&cursor, m->find(std::uint32_t{0}), sizeof cursor);
+  for (std::uint32_t k = 1; k <= cursor && k < def.max_entries; ++k) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, m->find(k), sizeof v);
+    res.log.push_back(v);
+  }
+  res.service_events = r.stats().service_events;
+  return res;
+}
+
+TEST(BurstDifferential, ProgramsSharingAMapRunInPacketOrderAtEveryBurstSize) {
+  const LogResult b1 = run_shared_map_scenario(1);
+  ASSERT_EQ(b1.log.size(), 80u);
+  for (std::uint32_t i = 0; i < 40; ++i) {  // A0 B0 A1 B1 ...
+    EXPECT_EQ(b1.log[2 * i], 0xa0000u | i) << "entry " << 2 * i;
+    EXPECT_EQ(b1.log[2 * i + 1], 0xb0000u | i) << "entry " << 2 * i + 1;
+  }
+  for (const std::size_t burst : {2u, 17u, 64u}) {
+    const LogResult bn = run_shared_map_scenario(burst);
+    EXPECT_TRUE(bn.log == b1.log) << "burst " << burst << " vs 1";
+    // Bursts must actually form, or nothing is tested.
+    EXPECT_LE(bn.service_events, 40u / 2 + 1) << "burst " << burst;
+  }
 }
 
 }  // namespace

@@ -672,6 +672,26 @@ std::vector<MustReject> must_reject_table() {
   t.push_back({"st with src 15",
                {{BPF_ST | BPF_DW | BPF_MEM, R10, 15, -8, 0}},
                "source register out of range"});
+  // A register the instruction does not read, in range: the kernel rejects
+  // any nonzero src there ("uses reserved fields").
+  t.push_back({"K-form add64 with src r3",
+               {{BPF_ALU64 | BPF_ADD | BPF_K, R2, R3, 0, 5}},
+               "BPF_ALU uses reserved fields"});
+  t.push_back({"K-form mov32 with src r1",
+               {{BPF_ALU | BPF_MOV | BPF_K, R2, R1, 0, 5}},
+               "BPF_ALU uses reserved fields"});
+  t.push_back({"be16 with src r3",
+               {{BPF_ALU | BPF_END | BPF_TO_BE, R2, R3, 0, 16}},
+               "BPF_ALU uses reserved fields"});
+  t.push_back({"K-form jeq with src r3",
+               {{BPF_JMP | BPF_JEQ | BPF_K, R2, R3, 0, 5}},
+               "BPF_JMP/JMP32 uses reserved fields"});
+  t.push_back({"K-form jgt32 with src r10",
+               {{BPF_JMP32 | BPF_JGT | BPF_K, R2, R10, 0, 5}},
+               "BPF_JMP/JMP32 uses reserved fields"});
+  t.push_back({"st with src r2",
+               {{BPF_ST | BPF_DW | BPF_MEM, R10, R2, -8, 0}},
+               "BPF_ST uses reserved fields"});
   t.push_back({"ld_imm64 pseudo src 2",
                {{BPF_LD | BPF_DW | BPF_IMM, R2, 2, 0, 1}, {0, 0, 0, 0, 0}},
                "unknown ld_imm64 pseudo source"});

@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "apps/sink.h"
@@ -22,6 +23,7 @@
 #include "net/burst.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
+#include "sim/invariant_auditor.h"
 #include "sim/network.h"
 #include "usecases/programs.h"
 
@@ -45,6 +47,21 @@ struct Digest {
     }
   }
 };
+
+// Closes a drained scenario's books: every one of the `offered` packets was
+// delivered or dropped with a reason somewhere on S1 - router - S2.
+void expect_balanced_ledger(sim::Network& net, std::uint64_t offered,
+                            const sim::Node& s1, const sim::Node& router,
+                            const sim::Node& s2,
+                            const sim::Link& la, const sim::Link& lb) {
+  sim::InvariantAuditor auditor;
+  auditor.add_source([offered] { return offered; });
+  for (const sim::Node* n : {&s1, &router, &s2}) auditor.add_node(*n);
+  auditor.add_link(la);
+  auditor.add_link(lb);
+  auditor.audit(net.now(), /*final_drain=*/true);
+  for (const std::string& v : auditor.violations()) ADD_FAILURE() << v;
+}
 
 // ---- ncpus=1 differential vs the pre-multi-core tree ------------------------
 
@@ -111,6 +128,7 @@ Fig2Result run_fig2(std::size_t burst, std::size_t ncpus) {
                            });
   }
   net.run_for(sim::kSecond);
+  expect_balanced_ledger(net, 100, s1, r, s2, *l1.link, *l2.link);
   res.router = r.stats();
   return res;
 }
@@ -222,6 +240,7 @@ Digest run_hybrid(std::size_t burst, std::size_t ncpus,
                            });
   }
   net.run_for(sim::kSecond);
+  expect_balanced_ledger(net, 96, s1, m, s2, *l0.link, *l1.link);
   if (router_out != nullptr) *router_out = m.stats();
   return dig;
 }
